@@ -31,6 +31,7 @@ from .gauss import qim, qre
 from .models import Model
 from .phase import PhaseExpr
 from .poly import BITS, MASK, grlex_key, unpack
+from .radical import rdenom
 
 FUNCTIONS = ("star", "pb", "mb", "nb", "qnb", "jordan", "res4", "diff",
              "divh", "h0")
@@ -429,7 +430,7 @@ def _poly_str(poly: dict, nvars: int) -> Tuple[str, bool]:
 
 
 def _coeff_str(coeff, nvars: int) -> str:
-    num_a, num_b, denom = coeff
+    num_a, num_b, _ = coeff
     if num_a and not num_b:
         text, single = _poly_str(num_a, nvars)
         body = text if single else f"({text})"
@@ -448,6 +449,7 @@ def _coeff_str(coeff, nvars: int) -> str:
         right = ("s" if tb == "1" else
                  f"{(tb if sb else f'({tb})')}*s")
         body = f"({left} + {right})".replace("+ -", "- ")
+    denom = rdenom(coeff, nvars)
     if not (len(denom) == 1 and denom.get(0) == (1, 0, 1)):
         dtext, _ = _poly_str(denom, nvars)
         body = f"{body}/({dtext})"

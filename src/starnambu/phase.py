@@ -19,7 +19,7 @@ from .radical import (RadicalCoeff, RZERO, radd, rderive, rdivide_ihbar,
                       rdivisible_hbar, requal, reval, ris_poly, ris_zero,
                       rfrom_poly, rfrom_scalar, rinv, rmake, rmul, rneg,
                       rpow, rs_coeff, rscale, rsub, rsubst_hbar_zero,
-                      rtimes_ihbar, rstr, rw_coeff, r_poly)
+                      rtimes_ihbar, rw_coeff, r_poly)
 
 
 class PhaseExpr:
@@ -310,7 +310,8 @@ class PhaseExpr:
         self._check(other)
         if self.terms.keys() != other.terms.keys():
             return False
-        return all(requal(c, other.terms[k]) for k, c in self.terms.items())
+        n = self.n
+        return all(requal(c, other.terms[k], n) for k, c in self.terms.items())
 
     def __eq__(self, other):
         if isinstance(other, PhaseExpr):
@@ -336,21 +337,9 @@ class PhaseExpr:
         return f"PhaseExpr({self.n}, {self.text()})"
 
     def text(self) -> str:
-        """Debug-oriented readable form (the canonical printer lives in lang)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            mono = []
-            for i in range(self.n):
-                e = (key >> (BITS * i)) & MASK
-                if e == 1:
-                    mono.append(f"p{i + 1}")
-                elif e > 1:
-                    mono.append(f"p{i + 1}^{e}")
-            cs = rstr(self.terms[key], self.n)
-            parts.append("*".join([cs] + mono) if mono else cs)
-        return " + ".join(parts)
+        """The canonical text form of :func:`starnambu.lang.print_canonical`."""
+        from .lang import print_canonical
+        return print_canonical(self)
 
 
 def _check_index(n: int, a: int):

@@ -2,12 +2,13 @@
 
 s is a formal generator with the single relation s**2 = 1 - sum(x_i**2).
 A and B are polynomials in (x_1..x_n, hbar); the denominator D is an s-free
-monic polynomial in the x's alone.  Internally every denominator is kept in
-the factored form rbar**i * q2**j * rest with rbar = q**2 - 1 (the monic
-associate of 1 - q**2) and q2 = sum x_i**2; the factored powers are shared
-cached objects, so denominator arithmetic is exponent bookkeeping rather
-than polynomial division.  Reduction is opportunistic; equality is decided
-by cross-multiplication, so reduction affects performance only.
+monic polynomial in the x's alone, held in factored form as the triple
+(i, j, rest) meaning rbar**i * q2**j * rest, with rbar = q**2 - 1 (the monic
+associate of 1 - q**2), q2 = sum x_i**2 and rest monic.  Multiplying and
+adding denominators is exponent bookkeeping; the polynomial D is built only
+by ``rdenom``, for inversion, cross-multiplied equality, evaluation and
+printing.  Reduction is opportunistic; equality is decided by
+cross-multiplication, so reduction affects performance only.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ from .gauss import QONE, qdiv, qinv, qis_zero, qmul, qadd, qfromfrac
 from .poly import (PONE, Poly, padd, pconst, pderive, pdivide_ihbar,
                    pdivisible_hbar, pdivmod_exact, pdrop_hbar, peval,
                    phas_hbar, pis_zero, pmonic, pmul, pneg, pscale, pshift_hbar,
-                   psub, pstr, pvar)
+                   psub, pvar)
 from .gauss import qpow_i
 
 
 class RadicalCoeff(NamedTuple):
-    """One coefficient-field element, value (num_a + num_b*s)/denom."""
+    """One coefficient-field element, value (num_a + num_b*s)/D.
+
+    ``denom`` is the factored denominator (i, j, rest); ``rdenom`` gives D.
+    """
 
     num_a: Poly
     num_b: Poly
-    denom: Poly
+    denom: Tuple[int, int, Poly]
 
 
 _POLY_ONE = {0: QONE}
@@ -67,56 +71,65 @@ def rbar_poly(n: int) -> Poly:
     return p
 
 
-RZERO = RadicalCoeff({}, {}, _POLY_ONE)
-RONE = RadicalCoeff(dict(PONE), {}, _POLY_ONE)
-
-
 def _is_one(p: Poly) -> bool:
     return len(p) == 1 and p.get(0) == QONE
 
 
-# -- factored denominator registry --------------------------------------
+# -- factored denominators -----------------------------------------------
 
-# denominator poly -> (i, j, rest) meaning rbar**i * q2**j * rest, rest monic
-_FACT_BY_ID: dict = {}
+# One shared triple per (i, j) when rest is 1: coefficients far outnumber
+# distinct exponent pairs, so fresh tuples would cost memory for nothing.
+_ONE_DEN = (0, 0, _POLY_ONE)
+_DEN_CACHE: dict = {(0, 0): _ONE_DEN}
+_POWERS: dict = {}
 _FACT_BY_VAL: dict = {}
-_POW_CACHE: dict = {}
+
+RZERO = RadicalCoeff({}, {}, _ONE_DEN)
+RONE = RadicalCoeff(dict(PONE), {}, _ONE_DEN)
 
 
-def _rq_pow(n: int, i: int, j: int, rest: Poly) -> Poly:
-    """The shared denominator polynomial rbar**i * q2**j * rest."""
-    if i == 0 and j == 0:
-        if _is_one(rest):
-            return _POLY_ONE
-        return rest
-    key = (n, i, j, id(rest)) if not _is_one(rest) else (n, i, j)
-    got = _POW_CACHE.get(key)
-    if got is not None:
-        return got
-    if j == 0:
-        p = pmul(_rq_pow(n, i - 1, 0, _POLY_ONE), rbar_poly(n)) if i else dict(_POLY_ONE)
-    else:
-        p = pmul(_rq_pow(n, i, j - 1, _POLY_ONE), q2_poly(n))
+def _den(i: int, j: int, rest: Poly) -> tuple:
+    """The denominator triple rbar**i * q2**j * rest."""
     if not _is_one(rest):
-        p = pmul(p, rest)
-    _POW_CACHE[key] = p
-    _FACT_BY_ID[id(p)] = (n, i, j, rest, p)
-    return p
+        return (i, j, rest)
+    got = _DEN_CACHE.get((i, j))
+    if got is None:
+        got = _DEN_CACHE[(i, j)] = (i, j, _POLY_ONE)
+    return got
+
+
+def _pow(n: int, i: int, j: int) -> Poly:
+    """The polynomial rbar**i * q2**j, cached by (n, i, j)."""
+    key = (n, i, j)
+    got = _POWERS.get(key)
+    if got is None:
+        if j:
+            got = pmul(_pow(n, i, j - 1), q2_poly(n))
+        elif i:
+            got = pmul(_pow(n, i - 1, 0), rbar_poly(n))
+        else:
+            got = _POLY_ONE
+        _POWERS[key] = got
+    return got
+
+
+def rdenom(u: RadicalCoeff, n: int) -> Poly:
+    """The denominator polynomial D of u."""
+    i, j, rest = u[2]
+    p = _pow(n, i, j)
+    return p if _is_one(rest) else pmul(p, rest)
 
 
 def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
     """Factor a denominator as lc * rbar**i * q2**j * rest (rest monic).
 
-    Results are memoized by object identity and by value, so repeated
-    denominators cost a dictionary lookup.
+    Results are memoized by value, so repeated denominators cost a
+    dictionary lookup.
     """
-    got = _FACT_BY_ID.get(id(d))
-    if got is not None and got[4] is d:
-        return QONE, got[1], got[2], got[3]
     vkey = (n, tuple(sorted(d.items())))
     got = _FACT_BY_VAL.get(vkey)
     if got is not None:
-        return got[0], got[1], got[2], got[3]
+        return got
     if phas_hbar(d, n):
         raise DivisionByZero("denominator may not involve hbar")
     nf = n + 1
@@ -136,8 +149,8 @@ def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
                 break
             body, j = q, j + 1
     rest = body if not _is_one(body) else _POLY_ONE
-    _FACT_BY_VAL[vkey] = (lc, i, j, rest)
-    return lc, i, j, rest
+    got = _FACT_BY_VAL[vkey] = (lc, i, j, rest)
+    return got
 
 
 # -- divisibility pre-filter ---------------------------------------------
@@ -286,8 +299,7 @@ def _cancel(a: Poly, b: Poly, i: int, j: int, rest: Poly, n: int) -> RadicalCoef
             qb = pdivmod_exact(b, rest, nf)
             if qb is not None:
                 a, b, rest = qa, qb, _POLY_ONE
-    d = _rq_pow(n, i, j, rest)
-    return RadicalCoeff(a, b, d)
+    return RadicalCoeff(a, b, _den(i, j, rest))
 
 
 def rmake(num_a: Poly, num_b: Poly, denom: Poly, n: int) -> RadicalCoeff:
@@ -303,16 +315,16 @@ def rmake(num_a: Poly, num_b: Poly, denom: Poly, n: int) -> RadicalCoeff:
 
 
 def rfrom_poly(p: Poly) -> RadicalCoeff:
-    return RadicalCoeff(dict(p), {}, _POLY_ONE)
+    return RadicalCoeff(dict(p), {}, _ONE_DEN)
 
 
 def rfrom_scalar(c) -> RadicalCoeff:
-    return RadicalCoeff(pconst(c), {}, _POLY_ONE)
+    return RadicalCoeff(pconst(c), {}, _ONE_DEN)
 
 
 def rs_coeff() -> RadicalCoeff:
     """The radical s itself."""
-    return RadicalCoeff({}, dict(PONE), _POLY_ONE)
+    return RadicalCoeff({}, dict(PONE), _ONE_DEN)
 
 
 def rw_coeff(n: int) -> RadicalCoeff:
@@ -325,18 +337,7 @@ def ris_zero(c: RadicalCoeff) -> bool:
 
 
 def ris_poly(c: RadicalCoeff) -> bool:
-    return not c[1] and _is_one(c[2])
-
-
-def _exps_of(d: Poly, n: int) -> Tuple[int, int, Poly]:
-    got = _FACT_BY_ID.get(id(d))
-    if got is not None and got[4] is d:
-        return got[1], got[2], got[3]
-    if _is_one(d):
-        return 0, 0, _POLY_ONE
-    lc, i, j, rest = _dfact(d, n)
-    # denominators held by RadicalCoeff values are monic, so lc is one
-    return i, j, rest
+    return not c[1] and c[2] == _ONE_DEN
 
 
 def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
@@ -345,25 +346,24 @@ def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
     a2, b2, d2 = v
     if d1 is d2 or d1 == d2:
         return a1, b1, a2, b2, d1
-    i1, j1, rest1 = _exps_of(d1, n)
-    i2, j2, rest2 = _exps_of(d2, n)
+    i1, j1, rest1 = d1
+    i2, j2, rest2 = d2
+    ii, jj = max(i1, i2), max(j1, j2)
+    s1 = _pow(n, ii - i1, jj - j1)
+    s2 = _pow(n, ii - i2, jj - j2)
     if rest1 is rest2 or rest1 == rest2:
-        ii, jj = max(i1, i2), max(j1, j2)
-        s1 = _rq_pow(n, ii - i1, jj - j1, _POLY_ONE)
-        s2 = _rq_pow(n, ii - i2, jj - j2, _POLY_ONE)
-        if not _is_one(s1):
-            a1, b1 = pmul(a1, s1), pmul(b1, s1)
-        if not _is_one(s2):
-            a2, b2 = pmul(a2, s2), pmul(b2, s2)
-        return a1, b1, a2, b2, _rq_pow(n, ii, jj, rest1)
-    s1 = _rq_pow(n, max(i2 - i1, 0), max(j2 - j1, 0), rest2)
-    s2 = _rq_pow(n, max(i1 - i2, 0), max(j1 - j2, 0), rest1)
+        rest = rest1
+    else:
+        if not _is_one(rest2):
+            s1 = pmul(s1, rest2)
+        if not _is_one(rest1):
+            s2 = pmul(s2, rest1)
+        rest = pmul(rest1, rest2)
     if not _is_one(s1):
         a1, b1 = pmul(a1, s1), pmul(b1, s1)
     if not _is_one(s2):
         a2, b2 = pmul(a2, s2), pmul(b2, s2)
-    d = _rq_pow(n, max(i1, i2), max(j1, j2), pmul(rest1, rest2))
-    return a1, b1, a2, b2, d
+    return a1, b1, a2, b2, _den(ii, jj, rest)
 
 
 def radd(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
@@ -389,20 +389,19 @@ def rneg(u: RadicalCoeff) -> RadicalCoeff:
 def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
     a1, b1, d1 = u
     a2, b2, d2 = v
-    triv1 = _is_one(d1)
-    triv2 = _is_one(d2)
+    trivial = d1 == _ONE_DEN and d2 == _ONE_DEN
     if not b1 and not b2:
         num_a = pmul(a1, a2)
-        if triv1 and triv2:
-            return RadicalCoeff(num_a, {}, _POLY_ONE)
+        if trivial:
+            return RadicalCoeff(num_a, {}, _ONE_DEN)
         num_b: Poly = {}
     else:
         num_a = padd(pmul(a1, a2), pmul(pmul(b1, b2), r_poly(n)))
         num_b = padd(pmul(a1, b2), pmul(b1, a2))
-        if triv1 and triv2:
-            return RadicalCoeff(num_a, num_b, _POLY_ONE)
-    i1, j1, rest1 = _exps_of(d1, n)
-    i2, j2, rest2 = _exps_of(d2, n)
+        if trivial:
+            return RadicalCoeff(num_a, num_b, _ONE_DEN)
+    i1, j1, rest1 = d1
+    i2, j2, rest2 = d2
     if _is_one(rest1):
         rest = rest2
     elif _is_one(rest2):
@@ -419,7 +418,7 @@ def rscale(u: RadicalCoeff, c) -> RadicalCoeff:
 
 
 def rinv(u: RadicalCoeff, n: int) -> RadicalCoeff:
-    a, b, d = u
+    a, b, _ = u
     if ris_zero(u):
         raise DivisionByZero("inverse of zero coefficient")
     den = psub(pmul(a, a), pmul(pmul(b, b), r_poly(n)))
@@ -427,6 +426,7 @@ def rinv(u: RadicalCoeff, n: int) -> RadicalCoeff:
         raise DivisionByZero("inverse of zero coefficient")
     if phas_hbar(den, n):
         raise NotInvertible("inverse would need an hbar-dependent denominator")
+    d = rdenom(u, n)
     return rmake(pmul(d, a), pneg(pmul(d, b)), den, n)
 
 
@@ -443,12 +443,13 @@ def rpow(u: RadicalCoeff, k: int, n: int) -> RadicalCoeff:
     return out
 
 
-def requal(u: RadicalCoeff, v: RadicalCoeff) -> bool:
+def requal(u: RadicalCoeff, v: RadicalCoeff, n: int) -> bool:
     a1, b1, d1 = u
     a2, b2, d2 = v
     if d1 is d2 or d1 == d2:
         return a1 == a2 and b1 == b2
-    return pmul(a1, d2) == pmul(a2, d1) and pmul(b1, d2) == pmul(b2, d1)
+    p1, p2 = rdenom(u, n), rdenom(v, n)
+    return pmul(a1, p2) == pmul(a2, p1) and pmul(b1, p2) == pmul(b2, p1)
 
 
 def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
@@ -457,21 +458,22 @@ def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
     Works directly on the factored denominator rbar**i * q2**j * rest so the
     chain-rule factors never have to be divided back out.
     """
-    a, b, d = u
+    a, b, den = u
     da = pderive(a, index)
     db = pderive(b, index)
     x = pvar(index)
-    if _is_one(d):
+    if den == _ONE_DEN:
         if not b:
-            return RadicalCoeff(da, {}, _POLY_ONE) if da else RZERO
+            return RadicalCoeff(da, {}, _ONE_DEN) if da else RZERO
         # d/dx (A + B s) = A' + (B' + x B / rbar) s
         num_a = pmul(da, rbar_poly(n))
         num_b = padd(pmul(db, rbar_poly(n)), pmul(x, b))
         return _cancel(num_a, num_b, 1, 0, _POLY_ONE, n)
-    i, j, rest = _exps_of(d, n)
+    i, j, rest = den
     if not _is_one(rest):
         # generic quotient rule for unrecognized denominators
         r = r_poly(n)
+        d = rdenom(u, n)
         dd = pderive(d, index)
         num_a = pmul(psub(pmul(da, d), pmul(a, dd)), r)
         num_b = psub(pmul(psub(pmul(db, d), pmul(b, dd)), r),
@@ -538,27 +540,9 @@ def rdivisible_hbar(u: RadicalCoeff, n: int, k: int) -> bool:
 def reval(u: RadicalCoeff, n: int, xvals, sval, hbar_val) -> tuple:
     a = peval(u[0], n, xvals, hbar_val)
     b = peval(u[1], n, xvals, hbar_val)
-    d = peval(u[2], n, xvals, hbar_val)
+    d = peval(rdenom(u, n), n, xvals, hbar_val)
     if qis_zero(d):
         raise EvaluationPole("denominator vanishes at evaluation point")
     num = qadd(a, qmul(b, qfromfrac(sval)))
     return qdiv(num, d)
 
-
-def rstr(u: RadicalCoeff, n: int, names=None) -> str:
-    a, b, d = u
-    if ris_zero(u):
-        return "0"
-    sa = pstr(a, n, names)
-    parts = []
-    if a:
-        parts.append(sa if len(a) == 1 else f"({sa})")
-    if b:
-        sb = pstr(b, n, names)
-        parts.append((sb if len(b) == 1 else f"({sb})") + "*s")
-    joined = " + ".join(parts).replace("+ -", "- ")
-    if len(parts) > 1:
-        joined = f"({joined})"
-    if not _is_one(d):
-        joined = f"{joined}/({pstr(d, n, names)})"
-    return joined
