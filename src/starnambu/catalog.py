@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from .brackets import (SubsetCache, jordan, moyal, nambu_jacobian,
                        phase_algebra, poisson, qnb, resolve_qnb4, star,
-                       symplectic_trace)
+                       star_commutator as comm, symplectic_trace)
 from .errors import StarNambuError, UsageError
 from .lang import print_canonical
 from .models import (Model, chiral_dreibein, christoffel_correction,
@@ -843,8 +843,15 @@ def _run_qn_09(ctx: RunContext) -> CheckOutcome:
     return _expect_equal(pairs)
 
 
-def _run_qn_10(ctx: RunContext) -> CheckOutcome:
+def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
     from .poly import padd, pmul, pscale
+    lam1, lam2 = lz.rows[row][row], lz.rows[col][col]
+    rho1, rho2 = rz.rows[row][row], rz.rows[col][col]
+    return padd(padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
+                padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
+
+
+def _run_qn_10(ctx: RunContext) -> CheckOutcome:
     for two_j in (0, 1, 2):
         left, right = chiral_tensor_rep(two_j)
         d = (two_j + 1) ** 2
@@ -853,25 +860,13 @@ def _run_qn_10(ctx: RunContext) -> CheckOutcome:
         for row in range(d):
             for col in range(d):
                 f = ExactMatrix.unit(d, row, col)
-                lam1, lam2 = lz.rows[row][row], lz.rows[col][col]
-                rho1, rho2 = rz.rows[row][row], rz.rows[col][col]
-                sigma = padd(
-                    padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
-                    padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
+                sigma = _sigma_of(lz, rz, row, col)
                 got = jordan([f, lz, rz], alg).value
                 if got != ExactMatrix.unit(d, row, col, sigma):
                     return _fail(f"2j={two_j}: unit ({row},{col}) violates the "
                                  "sigma_12 spectrum")
     return _pass("sigma_12 = 2 l1 r1 + l1 r2 + r1 l2 + 2 l2 r2 on every "
                  "elementary unit, 2j <= 2")
-
-
-def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
-    from .poly import padd, pmul, pscale
-    lam1, lam2 = lz.rows[row][row], lz.rows[col][col]
-    rho1, rho2 = rz.rows[row][row], rz.rows[col][col]
-    return padd(padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
-                padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
 
 
 def _run_qn_11(ctx: RunContext) -> CheckOutcome:
@@ -925,9 +920,6 @@ def _run_qn_12(ctx: RunContext) -> CheckOutcome:
     il = sum((star(c, c) for c in lh), PhaseExpr.zero(3))
     ir = sum((star(c, c) for c in rh), PhaseExpr.zero(3))
 
-    def comm(a, b):
-        return star(a, b) - star(b, a)
-
     cache = SubsetCache()
     pairs = []
     for _ in range(ctx.repeats(1)):
@@ -955,9 +947,6 @@ def _run_qn_13(ctx: RunContext) -> CheckOutcome:
     m = get_model("chiral-s3")
     alg = phase_algebra(3)
     lh, rh = half_charges(m)
-
-    def comm(a, b):
-        return star(a, b) - star(b, a)
 
     def fab_half(a, b):
         return star(lh[a], rh[b])

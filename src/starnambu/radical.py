@@ -421,13 +421,18 @@ def rinv(u: RadicalCoeff, n: int) -> RadicalCoeff:
     a, b, _ = u
     if ris_zero(u):
         raise DivisionByZero("inverse of zero coefficient")
-    den = psub(pmul(a, a), pmul(pmul(b, b), r_poly(n)))
+    d = rdenom(u, n)
+    if b:
+        # rationalize through the conjugate a - b*s
+        den = psub(pmul(a, a), pmul(pmul(b, b), r_poly(n)))
+        num_a, num_b = pmul(d, a), pneg(pmul(d, b))
+    else:
+        den, num_a, num_b = a, d, {}
     if pis_zero(den):
         raise DivisionByZero("inverse of zero coefficient")
     if phas_hbar(den, n):
         raise NotInvertible("inverse would need an hbar-dependent denominator")
-    d = rdenom(u, n)
-    return rmake(pmul(d, a), pneg(pmul(d, b)), den, n)
+    return rmake(num_a, num_b, den, n)
 
 
 def rdiv(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:

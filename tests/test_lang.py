@@ -155,6 +155,28 @@ class TestPrintCanonical:
         got = star(PhaseExpr.coord(2, 0), PhaseExpr.momentum(2, 0))
         assert print_canonical(got) == "x1*p1 + (1/2)*i*hbar"
 
+
+    @pytest.mark.parametrize("text, want", [
+        ("w", "(1 - 1*s)/(x1*x1 + x2*x2)"),
+        ("1/(1+s)", "(1 - 1*s)/(x1*x1 + x2*x2)"),
+        ("diff(s, x1)", "x1*s/(x1*x1 + x2*x2 - 1)"),
+    ])
+    def test_radical_denominators_pinned(self, text, want):
+        b = Binding(dimension=2)
+        got = evaluate(text, b)
+        assert print_canonical(got) == want
+        assert evaluate(want, b).equals(got)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1/x1", "1/(x1)"),
+        ("p1/(x1-x2)", "1/(x1 - x2)*p1"),
+        ("1/(1+x1*x1)", "1/(x1*x1 + 1)"),
+    ])
+    def test_plain_denominator_not_squared(self, text, want):
+        b = Binding(model=get_model("sphere:2"))
+        got = evaluate(text, b)
+        assert print_canonical(got) == want
+        assert evaluate(want, b).equals(got)
     def test_roundtrip_100_random(self):
         rng = random.Random(73)
         b2 = Binding(dimension=2)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from starnambu.errors import DivisionByZero, InexactDivision, NotInvertible
 from starnambu.gauss import QONE
-from starnambu.poly import PONE, pack, pmul, pvar
+from starnambu.poly import PONE, pack, padd, pmul, pvar
 from starnambu.radical import (RONE, RZERO, RadicalCoeff, q2_poly, r_poly,
                                radd, rbar_poly, rdenom, rderive, rdiv,
                                rdivide_ihbar, requal, reval, rfrom_poly, rinv,
@@ -115,6 +116,22 @@ def test_reduction_idempotent_and_monic():
             _, lc = plead(d, N + 1)
             assert lc == QONE
 
+
+
+def test_results_independent_of_object_identity():
+    # deep copies share no objects with the originals, so any state keyed
+    # by object identity would show up as a difference here
+    rng = random.Random(13)
+    factors = [RONE, rmake(dict(PONE), {}, q2_poly(N), N),
+               rmake(dict(PONE), {}, padd(pvar(0), dict(PONE)), N)]
+    for _ in range(25):
+        a = rmul(rand_coeff(rng), rng.choice(factors), N)
+        b = rmul(rand_coeff(rng), rng.choice(factors), N)
+        ca, cb = copy.deepcopy(a), copy.deepcopy(b)
+        assert rmul(a, b, N) == rmul(ca, cb, N)
+        assert radd(a, b, N) == radd(ca, cb, N)
+        for var in (0, 1):
+            assert rderive(a, var, N) == rderive(ca, var, N)
 
 def test_power_and_negative_power():
     w = rw_coeff(N)
