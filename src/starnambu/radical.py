@@ -8,12 +8,12 @@ associate of 1 - q**2), q2 = sum x_i**2 and rest monic.  Multiplying and
 adding denominators is exponent bookkeeping; the polynomial D is built only
 by ``rdenom``, for inversion, cross-multiplied equality, evaluation and
 printing.  Reduction is opportunistic; equality is decided by
-cross-multiplication, so reduction affects performance only.
+cross-multiplication, so reduction affects performance only.  Cancellation
+is decided by exact trial division alone, the s-part first.
 """
 
 from __future__ import annotations
 
-import random as _random
 from typing import NamedTuple, Tuple
 
 from .errors import DivisionByZero, EvaluationPole, InexactDivision, NotInvertible
@@ -153,115 +153,24 @@ def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
     return got
 
 
-# -- divisibility pre-filter ---------------------------------------------
-
-# Evaluate numerators at deterministic pseudo-random points of the candidate
-# factor's zero set over a prime field: a multiple always vanishes there, so
-# a nonzero value rejects the trial division before polynomial arithmetic
-# runs.  Rare false accepts are caught by the exact division that follows.
-
-_FPRIME = 998244353
-_FIMAG = pow(3, (_FPRIME - 1) // 4, _FPRIME)
-_PTS_CACHE: dict = {}
-_INV_CACHE: dict = {}
-
-
-def _mod_inv(d: int) -> int:
-    got = _INV_CACHE.get(d)
-    if got is None:
-        got = pow(d, _FPRIME - 2, _FPRIME)
-        _INV_CACHE[d] = got
-    return got
-
-
-_POW_TABLE_SIZE = 512
-
-
-def _pow_tables(vals):
-    """Per-variable power tables val**e mod p for e < _POW_TABLE_SIZE."""
-    p = _FPRIME
-    tabs = []
-    for v in vals:
-        row = [1] * _POW_TABLE_SIZE
-        acc = 1
-        for e in range(1, _POW_TABLE_SIZE):
-            acc = acc * v % p
-            row[e] = acc
-        tabs.append(row)
-    return tuple(tabs)
-
-
-def _variety_points(n: int):
-    got = _PTS_CACHE.get(n)
-    if got is not None:
-        return got
-    rng = _random.Random(0x5EED + n)
-    p = _FPRIME
-    r_pts = []
-    if n == 1:
-        for x1 in (1, p - 1):
-            r_pts.append(_pow_tables((x1, rng.randrange(2, p))))
-    else:
-        while len(r_pts) < 2:
-            u = [rng.randrange(1, p) for _ in range(n - 1)]
-            nrm = sum(v * v for v in u) % p
-            den = (1 + nrm) % p
-            if den == 0:
-                continue
-            inv = _mod_inv(den)
-            x = [(1 - nrm) * inv % p]
-            x += [2 * v * inv % p for v in u]
-            r_pts.append(_pow_tables(tuple(x) + (rng.randrange(2, p),)))
-    q_pts = []
-    if n >= 2:
-        inv2 = _mod_inv(2)
-        inv2i = _mod_inv(2 * _FIMAG % p)
-        while len(q_pts) < 2:
-            c = [rng.randrange(1, p) for _ in range(n - 2)]
-            w = rng.randrange(1, p)
-            rest = (-sum(v * v for v in c)) % p
-            v = rest * _mod_inv(w) % p
-            xa = (w + v) * inv2 % p
-            xb = (w - v) * inv2i % p
-            q_pts.append(_pow_tables(tuple(c) + (xa, xb, rng.randrange(2, p))))
-    got = (tuple(r_pts), tuple(q_pts))
-    _PTS_CACHE[n] = got
-    return got
-
-
-def _vanishes_at(poly: Poly, points) -> bool:
-    if not poly:
-        return True
-    if not points:
-        return True
-    p = _FPRIME
-    for tabs in points:
-        tot = 0
-        for key, (ca, cb, cd) in poly.items():
-            if cd == 1:
-                m = (ca + cb * _FIMAG) % p
-            else:
-                dm = cd % p
-                if dm == 0:
-                    return True
-                m = (ca + cb * _FIMAG) * _mod_inv(dm) % p
-            k = key
-            i = 0
-            while k:
-                e = k & 0xFFFF
-                if e:
-                    row = tabs[i]
-                    m = m * (row[e] if e < _POW_TABLE_SIZE
-                             else pow(row[1], e, p)) % p
-                k >>= 16
-                i += 1
-            tot = (tot + m) % p
-        if tot:
-            return False
-    return True
-
-
 # -- reduction -----------------------------------------------------------
+
+
+def _strip(a: Poly, b: Poly, factor: Poly, k: int, nf: int):
+    """Divide factor out of both numerators at most k times.
+
+    The s-part goes first: when only the rational part is a multiple, the
+    attempt fails after one division instead of two.
+    """
+    while k > 0:
+        qb = pdivmod_exact(b, factor, nf)
+        if qb is None:
+            break
+        qa = pdivmod_exact(a, factor, nf)
+        if qa is None:
+            break
+        a, b, k = qa, qb, k - 1
+    return a, b, k
 
 
 def _cancel(a: Poly, b: Poly, i: int, j: int, rest: Poly, n: int) -> RadicalCoeff:
@@ -270,35 +179,12 @@ def _cancel(a: Poly, b: Poly, i: int, j: int, rest: Poly, n: int) -> RadicalCoef
         return RZERO
     nf = n + 1
     if n > 0 and (i or j):
-        r_pts, q_pts = _variety_points(n)
-        rb = rbar_poly(n)
-        while i > 0:
-            if not (_vanishes_at(a, r_pts) and _vanishes_at(b, r_pts)):
-                break
-            qa = pdivmod_exact(a, rb, nf)
-            if qa is None:
-                break
-            qb = pdivmod_exact(b, rb, nf)
-            if qb is None:
-                break
-            a, b, i = qa, qb, i - 1
-        q2 = q2_poly(n)
-        while j > 0:
-            if q_pts and not (_vanishes_at(a, q_pts) and _vanishes_at(b, q_pts)):
-                break
-            qa = pdivmod_exact(a, q2, nf)
-            if qa is None:
-                break
-            qb = pdivmod_exact(b, q2, nf)
-            if qb is None:
-                break
-            a, b, j = qa, qb, j - 1
+        a, b, i = _strip(a, b, rbar_poly(n), i, nf)
+        a, b, j = _strip(a, b, q2_poly(n), j, nf)
     if not _is_one(rest):
-        qa = pdivmod_exact(a, rest, nf)
-        if qa is not None:
-            qb = pdivmod_exact(b, rest, nf)
-            if qb is not None:
-                a, b, rest = qa, qb, _POLY_ONE
+        a, b, left = _strip(a, b, rest, 1, nf)
+        if not left:
+            rest = _POLY_ONE
     return RadicalCoeff(a, b, _den(i, j, rest))
 
 
