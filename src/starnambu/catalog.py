@@ -158,10 +158,6 @@ def _sphere_correction(n: int) -> PhaseExpr:
         .times_hbar(2).scale_fraction(Fraction(1, 8))
 
 
-def _ihbar_const(n: int, k: int = 1) -> PhaseExpr:
-    return PhaseExpr.one(n).times_ihbar(k)
-
-
 # -- entry runners --------------------------------------------------------
 
 

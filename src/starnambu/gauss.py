@@ -33,10 +33,6 @@ def qnorm(a: int, b: int, d: int):
     return (a, b, d)
 
 
-def qfromint(n: int):
-    return (n, 0, 1)
-
-
 def qfromfrac(x) -> tuple:
     x = Fraction(x)
     return (x.numerator, 0, x.denominator)
@@ -93,16 +89,6 @@ def qinv(u):
 
 def qdiv(u, v):
     return qmul(u, qinv(v))
-
-
-def qconj(u):
-    a, b, d = u
-    return (a, -b, d)
-
-
-def qscale_int(u, n: int):
-    a, b, d = u
-    return qnorm(a * n, b * n, d)
 
 
 def qpow_i(k: int):

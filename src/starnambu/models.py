@@ -188,7 +188,6 @@ def build_chiral_s3() -> Model:
     x = _coords(n)
     p = _momenta(n)
     s = PhaseExpr.radical_s(n)
-    one = PhaseExpr.one(n)
     charges: Dict[str, PhaseExpr] = {}
     iso = []
     axial = []
@@ -202,7 +201,6 @@ def build_chiral_s3() -> Model:
         charges[f"R{i + 1}"] = iso[i] + axial[i]
         charges[f"Lch{i + 1}"] = iso[i] - axial[i]
     h = PhaseExpr.zero(n)
-    hqm = PhaseExpr.zero(n)
     il = PhaseExpr.zero(n)
     ir = PhaseExpr.zero(n)
     for i in range(3):
@@ -223,7 +221,6 @@ def build_chiral_s3() -> Model:
                       + [f"Lch{i}" for i in (1, 2, 3)]
                       + [f"I{i}" for i in (1, 2, 3)]
                       + [f"A{i}" for i in (1, 2, 3)] + ["IL", "IR"])
-    _ = one
     return Model("chiral-s3", n, "+", charges, conserved, h, hqm, geometry,
                  True, "chiral")
 

@@ -363,10 +363,6 @@ def chiral_block_rep(two_js: Sequence[int]):
     return left, right
 
 
-def diagonal_value(m: ExactMatrix, k: int) -> Poly:
-    return m.rows[k][k]
-
-
 def naive_bracket(entries: Sequence[ExactMatrix]) -> ExactMatrix:
     """Direct k!-term antisymmetrized sum, kept as an oracle."""
     total = None

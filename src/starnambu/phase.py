@@ -18,7 +18,7 @@ from .poly import BITS, MASK, PONE, phbar, pvar, pack
 from .radical import (RadicalCoeff, RZERO, radd, rderive, rdivide_ihbar,
                       rdivisible_hbar, requal, reval, ris_poly, ris_zero,
                       rfrom_poly, rfrom_scalar, rinv, rmake, rmul, rneg,
-                      rpow, rs_coeff, rscale, rsub, rsubst_hbar_zero,
+                      rs_coeff, rscale, rsub, rsubst_hbar_zero,
                       rtimes_ihbar, rw_coeff, r_poly)
 
 
@@ -80,10 +80,6 @@ class PhaseExpr:
     def hbar(cls, n: int, power: int = 1) -> "PhaseExpr":
         return cls(n, {0: rfrom_poly(phbar(n, power))})
 
-    @classmethod
-    def from_coeff(cls, n: int, c: RadicalCoeff) -> "PhaseExpr":
-        return cls(n, {0: c})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -96,15 +92,6 @@ class PhaseExpr:
 
     def coefficient(self, pexps: Tuple[int, ...]) -> RadicalCoeff:
         return self.terms.get(pack(pexps), RZERO)
-
-    def momentum_profile(self) -> Tuple[int, ...]:
-        prof = [0] * self.n
-        for key in self.terms:
-            for i in range(self.n):
-                e = (key >> (BITS * i)) & MASK
-                if e > prof[i]:
-                    prof[i] = e
-        return tuple(prof)
 
     def momentum_degree(self) -> int:
         deg = 0
@@ -220,10 +207,6 @@ class PhaseExpr:
         for _ in range(k):
             out = out * self
         return out
-
-    def mul_coeff(self, c: RadicalCoeff) -> "PhaseExpr":
-        n = self.n
-        return PhaseExpr(n, {k: rmul(v, c, n) for k, v in self.terms.items()})
 
     def invert_coefficient(self) -> "PhaseExpr":
         """Inverse of a momentum-free expression, when representable."""

@@ -26,10 +26,6 @@ MASK = (1 << BITS) - 1
 Poly = Dict[int, tuple]
 
 
-def pzero() -> Poly:
-    return {}
-
-
 def pconst(c) -> Poly:
     return {} if qis_zero(c) else {0: c}
 
@@ -196,25 +192,8 @@ def pmul(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def pmul_monomial(f: Poly, key: int, c) -> Poly:
-    if qis_zero(c):
-        return {}
-    return {k + key: qmul(v, c) for k, v in f.items()}
-
-
-def ppow(f: Poly, n: int) -> Poly:
-    out = dict(PONE)
-    for _ in range(n):
-        out = pmul(out, f)
-    return out
-
-
 def pis_zero(f: Poly) -> bool:
     return not f
-
-
-def pequal(f: Poly, g: Poly) -> bool:
-    return f == g
 
 
 def pderive(f: Poly, index: int) -> Poly:
@@ -226,23 +205,6 @@ def pderive(f: Poly, index: int) -> Poly:
         if e:
             out[k - (1 << shift)] = qmul(c, (e, 0, 1)) if e > 1 else c
     return out
-
-
-def pdeg_field(f: Poly, index: int) -> int:
-    shift = BITS * index
-    d = 0
-    for k in f:
-        e = (k >> shift) & MASK
-        if e > d:
-            d = e
-    return d
-
-
-def ptotal_deg(key: int, nfields: int) -> int:
-    t = 0
-    for i in range(nfields):
-        t += (key >> (BITS * i)) & MASK
-    return t
 
 
 def grlex_key(key: int, nfields: int):
