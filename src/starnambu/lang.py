@@ -19,6 +19,7 @@ round-trip through the parser.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -297,6 +298,10 @@ def _as_var(node: AstNode, binding: Binding):
     raise ArityError(f"cannot differentiate with respect to {base!r}")
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": operator.truediv}
+
+
 def evaluate_ast(node: AstNode, binding: Binding) -> PhaseExpr:
     n = binding.dimension
     kind = node.kind
@@ -312,16 +317,17 @@ def evaluate_ast(node: AstNode, binding: Binding) -> PhaseExpr:
         return evaluate_ast(node.children[0], binding)
     if kind == "neg":
         return -evaluate_ast(node.children[0], binding)
-    if kind in ("add", "sub", "mul", "div"):
-        lhs = evaluate_ast(node.children[0], binding)
-        rhs = evaluate_ast(node.children[1], binding)
-        if kind == "add":
-            return lhs + rhs
-        if kind == "sub":
-            return lhs - rhs
-        if kind == "mul":
-            return lhs * rhs
-        return lhs / rhs
+    if kind in _BINARY:
+        # a + b + c parses left-nested: walk the left spine in a loop so a
+        # long chain does not recurse once per operator
+        spine = []
+        while node.kind in _BINARY:
+            spine.append(node)
+            node = node.children[0]
+        acc = evaluate_ast(node, binding)
+        for op in reversed(spine):
+            acc = _BINARY[op.kind](acc, evaluate_ast(op.children[1], binding))
+        return acc
     if kind == "call":
         return _call(node, binding)
     raise DomainError(f"unhandled node kind {kind!r}")
@@ -446,7 +452,7 @@ def _coeff_str(coeff, nvars: int) -> str:
         ta, sa = _poly_str(num_a, nvars)
         tb, sb = _poly_str(num_b, nvars)
         left = ta if sa else f"({ta})"
-        right = ("s" if tb == "1" else
+        right = ("s" if tb == "1" else "-s" if tb == "-1" else
                  f"{(tb if sb else f'({tb})')}*s")
         body = f"({left} + {right})".replace("+ -", "- ")
     denom = rdenom(coeff, nvars)

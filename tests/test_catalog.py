@@ -149,6 +149,11 @@ class TestCli:
     def test_eval_unknown_name_exit_two(self, capsys):
         assert main(["eval", "--model", "sphere:2", "mb(Lx, Zz)"]) == 2
 
+    def test_eval_long_sum_does_not_recurse(self, capsys):
+        text = " + ".join(["x1"] * 1000)
+        assert main(["eval", "--model", "sphere:2", text]) == 0
+        assert capsys.readouterr().out.strip() == "1000*x1"
+
     def test_models_listing(self, capsys):
         assert main(["models"]) == 0
         out = capsys.readouterr().out

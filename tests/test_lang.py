@@ -157,9 +157,10 @@ class TestPrintCanonical:
 
 
     @pytest.mark.parametrize("text, want", [
-        ("w", "(1 - 1*s)/(x1*x1 + x2*x2)"),
-        ("1/(1+s)", "(1 - 1*s)/(x1*x1 + x2*x2)"),
+        ("w", "(1 - s)/(x1*x1 + x2*x2)"),
+        ("1/(1+s)", "(1 - s)/(x1*x1 + x2*x2)"),
         ("diff(s, x1)", "x1*s/(x1*x1 + x2*x2 - 1)"),
+        ("x1 - s", "(x1 - s)"),
     ])
     def test_radical_denominators_pinned(self, text, want):
         b = Binding(dimension=2)
@@ -177,6 +178,7 @@ class TestPrintCanonical:
         got = evaluate(text, b)
         assert print_canonical(got) == want
         assert evaluate(want, b).equals(got)
+
     def test_roundtrip_100_random(self):
         rng = random.Random(73)
         b2 = Binding(dimension=2)
