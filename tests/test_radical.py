@@ -53,6 +53,7 @@ def test_w_rationalization():
     assert rdenom(w, N) == q2_poly(N)
     one_plus_s = radd(RONE, rs_coeff(), N)
     assert requal(rmul(w, one_plus_s, N), RONE, N)
+    assert rmul(w, one_plus_s, N) == RONE
 
 
 def test_inverse_cancellation():
