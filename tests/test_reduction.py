@@ -8,7 +8,7 @@ n = 1 covers the reducible rbar = (x1 - 1)(x1 + 1).
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from starnambu.gauss import qnorm  # noqa: E402
