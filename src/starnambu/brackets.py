@@ -11,6 +11,12 @@ The star product is evaluated through the factorized bidifferential form
 whose terms are exactly the merged ordered pairs produced by iterating the
 Poisson bidifferential; alpha is bounded by the momentum support of g and
 beta by that of f, so the series terminates at deg_p(f) + deg_p(g).
+Coefficient products are summed unreduced and each output coefficient is
+reduced once.
+
+For g * f the same (alpha, beta) term appears with (-1)**|alpha| in place
+of (-1)**|beta|, so the star commutator f * g - g * f is the sum over the
+pairs with |alpha| + |beta| odd alone, each weighted 2 * (-1)**|beta|.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import ArityError, DimensionError
 from .gauss import qmul, qpow_i
 from .phase import PhaseExpr
-from .poly import BITS, MASK
+from .poly import BITS, MASK, pscale, pshift_hbar
+from .radical import RadicalCoeff, radd, ris_zero, rmul_raw, rreduce
 
 
 # -- star product ------------------------------------------------------
@@ -95,10 +102,13 @@ def _star_tables(f: PhaseExpr, g: PhaseExpr):
 
 
 def _star_sum(f_orders, g_orders, fx, gx, n: int, bound: int,
-              swap: bool) -> PhaseExpr:
-    """Sum the bidifferential series; swap=True computes g*f."""
-    from .radical import radd, ris_zero
+              commutator: bool) -> PhaseExpr:
+    """Sum the bidifferential series for f*g, or f*g - g*f if commutator.
 
+    Products are accumulated unreduced and each output coefficient is
+    reduced once at the end.  The commutator keeps the odd-order pairs
+    only, each at twice its f*g weight.
+    """
     acc: Dict[int, Any] = {}
     for beta in f_orders:
         tb = _total(beta, n)
@@ -107,34 +117,28 @@ def _star_sum(f_orders, g_orders, fx, gx, n: int, bound: int,
             ta = _total(alpha, n)
             k = ta + tb
             assert k <= bound, "star series exceeded its termination bound"
-            if swap:
-                left = gx[alpha][beta]
-                right = fb[alpha]
-                sign_order = ta
-            else:
-                left = fb[alpha]
-                right = gx[alpha][beta]
-                sign_order = tb
+            if commutator and k % 2 == 0:
+                continue
+            left = fb[alpha]
+            right = gx[alpha][beta]
             if left.is_zero() or right.is_zero():
                 continue
-            prod = left * right
-            if prod.is_zero():
-                continue
-            num = 1 if sign_order % 2 == 0 else -1
+            num = (2 if commutator else 1) * (-1 if tb % 2 else 1)
             den = (1 << k) * _fact_key(alpha, n) * _fact_key(beta, n)
             scalar = qmul(qpow_i(k), (num, 0, den))
-            term = prod.mul_scalar_hbar(scalar, k)
-            for key, c in term.terms.items():
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = c
-                else:
-                    cc = radd(prev, c, n)
-                    if ris_zero(cc):
-                        del acc[key]
-                    else:
-                        acc[key] = cc
-    return PhaseExpr(n, acc)
+            # scaling a factor scales every product it enters
+            scaled = [(k1, RadicalCoeff(pscale(pshift_hbar(a, n, k), scalar),
+                                        pscale(pshift_hbar(b, n, k), scalar),
+                                        d))
+                      for k1, (a, b, d) in left.terms.items()]
+            for k2, c2 in right.terms.items():
+                for k1, c1 in scaled:
+                    key = k1 + k2
+                    c = rmul_raw(c1, c2, n)
+                    prev = acc.get(key)
+                    acc[key] = c if prev is None else radd(prev, c, n)
+    return PhaseExpr(n, {key: rreduce(c, n) for key, c in acc.items()
+                         if not ris_zero(c)})
 
 
 def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -146,15 +150,16 @@ def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
         return PhaseExpr.zero(n)
     bound = f.momentum_degree() + g.momentum_degree()
     f_orders, g_orders, fx, gx = _star_tables(f, g)
-    return _star_sum(f_orders, g_orders, fx, gx, n, bound, swap=False)
+    return _star_sum(f_orders, g_orders, fx, gx, n, bound, commutator=False)
 
 
 def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
-    """f*g - g*f computed from one shared set of derivative tables.
+    """f*g - g*f in one pass over one set of derivative tables.
 
-    On the coefficient c of each (alpha, beta) pair the swap changes only
-    the (-1)**|beta| factor into (-1)**|alpha|, so both directions reuse
-    the same tables.
+    Coefficient products commute, so g*f has the same (alpha, beta) terms
+    as f*g with the sign (-1)**|beta| turned into (-1)**|alpha|.  The two
+    signs agree when |alpha| + |beta| is even, so those terms cancel; the
+    odd-order terms survive, each at 2 * (-1)**|beta| times its f*g weight.
     """
     if f.n != g.n:
         raise DimensionError("star commutator needs equal dimensions")
@@ -163,9 +168,7 @@ def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
         return PhaseExpr.zero(n)
     bound = f.momentum_degree() + g.momentum_degree()
     f_orders, g_orders, fx, gx = _star_tables(f, g)
-    fg = _star_sum(f_orders, g_orders, fx, gx, n, bound, swap=False)
-    gf = _star_sum(f_orders, g_orders, fx, gx, n, bound, swap=True)
-    return fg - gf
+    return _star_sum(f_orders, g_orders, fx, gx, n, bound, commutator=True)
 
 
 def poisson(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:

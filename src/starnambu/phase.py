@@ -189,17 +189,6 @@ class PhaseExpr:
     def times_hbar(self, k: int = 1) -> "PhaseExpr":
         return self.times_ihbar(k).scale(qpow_i(-k % 4))
 
-    def mul_scalar_hbar(self, c: tuple, k: int) -> "PhaseExpr":
-        """Multiply by the scalar c and by hbar**k in one pass."""
-        from .poly import pscale, pshift_hbar
-        n = self.n
-        out = {}
-        for key, co in self.terms.items():
-            a = pscale(pshift_hbar(co[0], n, k), c)
-            b = pscale(pshift_hbar(co[1], n, k), c)
-            out[key] = RadicalCoeff(a, b, co[2])
-        return PhaseExpr(n, out)
-
     def __pow__(self, k: int) -> "PhaseExpr":
         if k < 0:
             raise DomainError("negative powers of phase expressions")

@@ -7,9 +7,12 @@ monic polynomial in the x's alone, held in factored form as the triple
 associate of 1 - q**2), q2 = sum x_i**2 and rest monic.  Multiplying and
 adding denominators is exponent bookkeeping; the polynomial D is built only
 by ``rdenom``, for inversion, cross-multiplied equality, evaluation and
-printing.  Reduction is opportunistic; equality is decided by
-cross-multiplication, so reduction affects performance only.  Cancellation
-is decided by exact trial division alone, the s-part first.
+printing.  ``rmul``, ``rmake`` and ``rderive`` reduce their result;
+``rmul_raw`` does not, so a star sum accumulates raw products and reduces
+each output coefficient once with ``rreduce``.  Sums are not reduced.
+Equality is decided by cross-multiplication, so reduction affects
+performance and printed form only.  Cancellation is decided by exact trial
+division alone, the s-part first.
 """
 
 from __future__ import annotations
@@ -272,20 +275,20 @@ def rneg(u: RadicalCoeff) -> RadicalCoeff:
     return RadicalCoeff(pneg(u[0]), pneg(u[1]), u[2])
 
 
-def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    """The product u*v with its denominator exponents added, unreduced."""
     a1, b1, d1 = u
     a2, b2, d2 = v
-    trivial = d1 == _ONE_DEN and d2 == _ONE_DEN
     if not b1 and not b2:
         num_a = pmul(a1, a2)
-        if trivial:
-            return RadicalCoeff(num_a, {}, _ONE_DEN)
         num_b: Poly = {}
     else:
         num_a = padd(pmul(a1, a2), pmul(pmul(b1, b2), r_poly(n)))
         num_b = padd(pmul(a1, b2), pmul(b1, a2))
-        if trivial:
-            return RadicalCoeff(num_a, num_b, _ONE_DEN)
+    if d1 == _ONE_DEN:
+        return RadicalCoeff(num_a, num_b, d2)
+    if d2 == _ONE_DEN:
+        return RadicalCoeff(num_a, num_b, d1)
     i1, j1, rest1 = d1
     i2, j2, rest2 = d2
     if _is_one(rest1):
@@ -294,7 +297,19 @@ def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
         rest = rest1
     else:
         rest = pmul(rest1, rest2)
-    return _cancel(num_a, num_b, i1 + i2, j1 + j2, rest, n)
+    return RadicalCoeff(num_a, num_b, _den(i1 + i2, j1 + j2, rest))
+
+
+def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
+    """Cancel what the denominator of u shares with both numerators."""
+    den = u[2]
+    if den == _ONE_DEN:
+        return u
+    return _cancel(u[0], u[1], *den, n)
+
+
+def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    return rreduce(rmul_raw(u, v, n), n)
 
 
 def rscale(u: RadicalCoeff, c) -> RadicalCoeff:

@@ -17,6 +17,16 @@ def basics(n=2):
             PhaseExpr.one(n), PhaseExpr.radical_s(n))
 
 
+def plain_denominators(n):
+    """Inverses of s-free denominators that are neither rbar nor q2."""
+    one = PhaseExpr.one(n)
+    x = [PhaseExpr.coord(n, i) for i in range(n)]
+    out = [one / (one + x[0] * x[0])]
+    if n > 1:
+        out.append(one / (x[0] - x[1]))
+    return out
+
+
 def star_reference(f, g):
     """Slow independent oracle: iterate the Poisson bidifferential one
     derivative at a time on ordered pairs and sum (i hbar/2)^k D^k/k!."""
@@ -93,6 +103,12 @@ class TestStar:
         for _ in range(10):
             f, g = rand_expr(2, rng, terms=3), rand_expr(2, rng, terms=3)
             assert star_commutator(f, g).equals(star(f, g) - star(g, f))
+        for n in (1, 2, 3):
+            factors = [PhaseExpr.w_function(n)] + plain_denominators(n)
+            for d in factors:
+                f = rand_expr(n, rng, terms=3) * d
+                g = rand_expr(n, rng, terms=3) * rng.choice(factors)
+                assert star_commutator(f, g).equals(star(f, g) - star(g, f))
 
     def test_against_literal_bidifferential_oracle(self):
         rng = random.Random(36)
@@ -105,6 +121,11 @@ class TestStar:
         f = rand_expr(2, rng, pdeg=1, terms=2) * w
         g = rand_expr(2, rng, pdeg=1, terms=2)
         assert star(f, g).equals(star_reference(f, g))
+        for n in (1, 2):
+            for d in plain_denominators(n):
+                f = rand_expr(n, rng, pdeg=1, terms=2) * d
+                g = rand_expr(n, rng, pdeg=2, xdeg=1, terms=2) * d
+                assert star(f, g).equals(star_reference(f, g))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

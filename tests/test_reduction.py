@@ -1,7 +1,8 @@
 """Reduction invariant of the coefficient field.
 
-After rmul, rmake and rderive, a denominator factor that is still present
-does not divide both numerators: with D = rbar**i * q2**j * rest, i > 0
+After rmul, rmake and rderive, and in every output coefficient of star and
+star_commutator, a denominator factor that is still present does not
+divide both numerators: with D = rbar**i * q2**j * rest, i > 0
 means rbar does not divide both A and B, and j > 0 means q2 does not.
 n = 1 covers the reducible rbar = (x1 - 1)(x1 + 1).
 """
@@ -11,6 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from starnambu import PhaseExpr, star, star_commutator  # noqa: E402
 from starnambu.gauss import qnorm  # noqa: E402
 from starnambu.poly import PONE, pack, padd, pdivmod_exact, pmul  # noqa: E402
 from starnambu.radical import (RadicalCoeff, q2_poly, rbar_poly,  # noqa: E402
@@ -79,6 +81,18 @@ def coefficients(draw, n):
     return rmake(*draw(raw_parts(n)), n)
 
 
+@st.composite
+def phase_exprs(draw, n):
+    """Up to three momentum monomials of degree at most 2."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [0] * n
+        for _ in range(draw(st.integers(0, 2))):
+            exps[draw(st.integers(0, n - 1))] += 1
+        terms[pack(tuple(exps))] = draw(coefficients(n))
+    return PhaseExpr(n, terms)
+
+
 dims = st.integers(1, 3)
 
 
@@ -108,3 +122,14 @@ def test_rderive_leaves_no_removable_factor(data):
     u = data.draw(coefficients(n))
     index = data.draw(st.integers(0, n - 1))
     assert_reduced(rderive(u, index, n), n)
+
+
+@SETTINGS
+@given(st.data())
+def test_star_outputs_leave_no_removable_factor(data):
+    n = data.draw(dims)
+    f = data.draw(phase_exprs(n))
+    g = data.draw(phase_exprs(n))
+    for out in (star(f, g), star_commutator(f, g)):
+        for c in out.terms.values():
+            assert_reduced(c, n)
