@@ -5,7 +5,8 @@ A and B are polynomials in (x_1..x_n, hbar); the denominator D is an s-free
 monic polynomial in the x's alone, held in factored form as the triple
 (i, j, rest) meaning rbar**i * q2**j * rest, with rbar = q**2 - 1 (the monic
 associate of 1 - q**2), q2 = sum x_i**2 and rest monic.  Multiplying and
-adding denominators is exponent bookkeeping; the polynomial D is built only
+adding denominators is exponent bookkeeping, and a sum over two rests is
+over the larger when one divides the other; the polynomial D is built only
 by ``rdenom``, for inversion, cross-multiplied equality, evaluation and
 printing.  ``rmul``, ``rmake`` and ``rderive`` reduce their result;
 ``rmul_raw`` does not, so a star sum accumulates raw products and reduces
@@ -229,6 +230,27 @@ def ris_poly(c: RadicalCoeff) -> bool:
     return not c[1] and c[2] == _ONE_DEN
 
 
+def _common_rest(rest1: Poly, rest2: Poly, n: int):
+    """A common multiple of two monic rests and the cofactor of each.
+
+    When one rest divides the other the larger one serves, so sums over
+    powers of one factor do not multiply their degrees together.
+    """
+    if rest1 is rest2 or rest1 == rest2:
+        return rest1, _POLY_ONE, _POLY_ONE
+    if _is_one(rest1):
+        return rest2, rest2, _POLY_ONE
+    if _is_one(rest2):
+        return rest1, _POLY_ONE, rest1
+    q = pdivmod_exact(rest2, rest1, n + 1)
+    if q is not None:
+        return rest2, q, _POLY_ONE
+    q = pdivmod_exact(rest1, rest2, n + 1)
+    if q is not None:
+        return rest1, _POLY_ONE, q
+    return pmul(rest1, rest2), rest2, rest1
+
+
 def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
     """Rewrite u, v over one factored denominator."""
     a1, b1, d1 = u
@@ -240,14 +262,11 @@ def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
     ii, jj = max(i1, i2), max(j1, j2)
     s1 = _pow(n, ii - i1, jj - j1)
     s2 = _pow(n, ii - i2, jj - j2)
-    if rest1 is rest2 or rest1 == rest2:
-        rest = rest1
-    else:
-        if not _is_one(rest2):
-            s1 = pmul(s1, rest2)
-        if not _is_one(rest1):
-            s2 = pmul(s2, rest1)
-        rest = pmul(rest1, rest2)
+    rest, m1, m2 = _common_rest(rest1, rest2, n)
+    if not _is_one(m1):
+        s1 = pmul(s1, m1)
+    if not _is_one(m2):
+        s2 = pmul(s2, m2)
     if not _is_one(s1):
         a1, b1 = pmul(a1, s1), pmul(b1, s1)
     if not _is_one(s2):

@@ -6,7 +6,7 @@ import pytest
 
 from starnambu.errors import DivisionByZero, InexactDivision, NotInvertible
 from starnambu.gauss import QONE
-from starnambu.poly import PONE, pack, padd, pmul, pvar
+from starnambu.poly import PONE, pack, padd, pmul, psub, pvar
 from starnambu.radical import (RONE, RZERO, RadicalCoeff, q2_poly, r_poly,
                                radd, rbar_poly, rdenom, rderive, rdiv,
                                rdivide_ihbar, requal, reval, rfrom_poly, rinv,
@@ -133,6 +133,19 @@ def test_results_independent_of_object_identity():
         assert radd(a, b, N) == radd(ca, cb, N)
         for var in (0, 1):
             assert rderive(a, var, N) == rderive(ca, var, N)
+
+def test_sum_over_powers_of_one_rest():
+    # 1/(x1 - x2) + 1/(x1 - x2)**2 is over (x1 - x2)**2, not (x1 - x2)**3
+    d = psub(pvar(0), pvar(1))
+    d2 = pmul(d, d)
+    u = rmake(dict(PONE), {}, d, N)
+    v = rmake(dict(PONE), {}, d2, N)
+    want = rmake(padd(d, dict(PONE)), {}, d2, N)
+    for got in (radd(u, v, N), radd(v, u, N)):
+        assert rdenom(got, N) == d2
+        assert requal(got, want, N)
+    assert rdenom(rsub(u, v, N), N) == d2
+
 
 def test_power_and_negative_power():
     w = rw_coeff(N)
