@@ -183,6 +183,11 @@ class PhaseExpr:
     def times_ihbar(self, k: int = 1) -> "PhaseExpr":
         """Multiply by (i*hbar)**k."""
         n = self.n
+        shift = BITS * n
+        top = max((m >> shift for c in self.terms.values()
+                   for m in (*c[0], *c[1])), default=0)
+        if top + k > MASK:
+            raise DomainError(f"hbar degree {top + k} overflows {BITS} bits")
         return PhaseExpr(n, {key: rtimes_ihbar(c, n, k)
                              for key, c in self.terms.items()})
 
@@ -192,7 +197,15 @@ class PhaseExpr:
     def __pow__(self, k: int) -> "PhaseExpr":
         if k < 0:
             raise DomainError("negative powers of phase expressions")
-        out = PhaseExpr.one(self.n)
+        n = self.n
+        top = 0
+        for key, (a, b, (i, j, rest)) in self.terms.items():
+            top = max(top, _top_exponent((key,), n, 0), _top_exponent(a, n, 0),
+                      _top_exponent(b, n, 1),
+                      _top_exponent(rest, n, 2 * (i + j)))
+        if k * top > MASK:
+            raise DomainError(f"power {k} overflows {BITS}-bit exponents")
+        out = PhaseExpr.one(n)
         for _ in range(k):
             out = out * self
         return out
@@ -312,6 +325,21 @@ class PhaseExpr:
         """The canonical text form of :func:`starnambu.lang.print_canonical`."""
         from .lang import print_canonical
         return print_canonical(self)
+
+
+def _top_exponent(monos, n: int, extra: int) -> int:
+    """The largest packed exponent over monos, extra added to each x field.
+
+    One factor of a power adds at most this much to any field: s counts as
+    degree 1 in each x, since s**2 = 1 - q**2, and rbar**i * q2**j as
+    degree 2*(i + j).
+    """
+    top = 0
+    shift = BITS * n
+    for m in monos:
+        top = max(top, m >> shift,
+                  *(((m >> (BITS * f)) & MASK) + extra for f in range(n)))
+    return top
 
 
 def _check_index(n: int, a: int):

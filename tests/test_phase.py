@@ -116,6 +116,11 @@ class TestArithmetic:
         with pytest.raises(DimensionError):
             PhaseExpr.coord(2, 0) * PhaseExpr.coord(3, 0)
 
+    def test_power_past_16_bit_exponents_raises(self):
+        # p1**65536 used to wrap around into p2
+        with pytest.raises(DomainError):
+            PhaseExpr.momentum(2, 0) ** 65536
+
 
 class TestDifferentiate:
     def test_momentum_derivative(self):
@@ -179,6 +184,13 @@ class TestHbar:
         assert (PhaseExpr.hbar(2) * PhaseExpr.coord(2, 0)).subst_hbar_zero().is_zero()
         lz = m.charge("Lz")
         assert lz.subst_hbar_zero().equals(lz)
+
+    def test_hbar_degree_past_16_bits_raises(self):
+        # hbar**65536 used to wrap around to 1
+        with pytest.raises(DomainError):
+            PhaseExpr.one(2).times_hbar(65536)
+        top = PhaseExpr.one(2).times_hbar(65535)
+        assert top.equals(PhaseExpr.hbar(2, 65535))
 
 
 class TestEvaluate:
