@@ -207,7 +207,7 @@ def _run_s2_05(ctx: RunContext) -> CheckOutcome:
     lplus = lx + ly.times_i()
     return _expect_equal([
         ("Lz*L+ - L+*Lz = hbar L+",
-         star(lz, lplus) - star(lplus, lz), lplus.times_hbar(1)),
+         comm(lz, lplus), lplus.times_hbar(1)),
     ])
 
 
@@ -427,7 +427,7 @@ def _run_ch_01(ctx: RunContext) -> CheckOutcome:
                 if e:
                     want_half = want_half + lh[k].times_ihbar(1).scale_fraction(e)
             pairs.append((f"half-normalized [L{i + 1},L{j + 1}]* = i hbar eps L",
-                          star(lh[i], lh[j]) - star(lh[j], lh[i]), want_half))
+                          comm(lh[i], lh[j]), want_half))
     out = _expect_equal(pairs)
     if out.status == "pass":
         out.detail = ("su(2) x su(2) closure; model charges close with "
@@ -667,7 +667,7 @@ def _run_qn_02(ctx: RunContext) -> CheckOutcome:
     for _ in range(ctx.repeats(3)):
         a = random_phase(2, rng)
         lhs = qnb([a, lx, ly, lz], alg).value
-        rhs = (star(a, casimir) - star(casimir, a)).times_ihbar(1)
+        rhs = comm(a, casimir).times_ihbar(1)
         pairs.append(("[A,Lx,Ly,Lz] = i hbar [A, L.*L]", lhs, rhs))
     return _expect_equal(pairs)
 
@@ -809,13 +809,13 @@ def _run_qn_08(ctx: RunContext) -> CheckOutcome:
     for name, inv, pdeg in cases:
         f = random_phase(3, rng, pdeg=pdeg, xdeg=1, terms=3, radical=False)
         lhs = qnb([f, inv, rh[0], rh[1], lh[0], lh[1]], alg, cache=cache).value
-        comm_f_inv = star(f, inv) - star(inv, f)
+        comm_f_inv = comm(f, inv)
         mid = jordan([comm_f_inv, lh[2], rh[2]], alg).value.times_ihbar(2)
         if not lhs.equals(mid):
             return _fail(f"F={name}: bracket misses (i hbar)^2 {{[f,F],Lz,Rz}}",
                          lhs - mid)
         alt = jordan([f, lh[2], rh[2]], alg).value
-        alt = (star(alt, inv) - star(inv, alt)).times_ihbar(2)
+        alt = comm(alt, inv).times_ihbar(2)
         if not lhs.equals(alt):
             return _fail(f"F={name}: bracket misses (i hbar)^2 [{{f,Lz,Rz}},F]",
                          lhs - alt)

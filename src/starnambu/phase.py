@@ -115,14 +115,7 @@ class PhaseExpr:
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = radd(prev, c, n)
-                if ris_zero(s):
-                    del out[k]
-                else:
-                    out[k] = s
+            out[k] = c if prev is None else radd(prev, c, n)
         return PhaseExpr(n, out)
 
     def __sub__(self, other: "PhaseExpr") -> "PhaseExpr":
@@ -131,14 +124,7 @@ class PhaseExpr:
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
-            if prev is None:
-                out[k] = rneg(c)
-            else:
-                s = rsub(prev, c, n)
-                if ris_zero(s):
-                    del out[k]
-                else:
-                    out[k] = s
+            out[k] = rneg(c) if prev is None else rsub(prev, c, n)
         return PhaseExpr(n, out)
 
     def __neg__(self) -> "PhaseExpr":
@@ -154,15 +140,7 @@ class PhaseExpr:
                     k = k1 + k2
                     c = rmul(c1, c2, n)
                     prev = out.get(k)
-                    if prev is None:
-                        if not ris_zero(c):
-                            out[k] = c
-                    else:
-                        s = radd(prev, c, n)
-                        if ris_zero(s):
-                            del out[k]
-                        else:
-                            out[k] = s
+                    out[k] = c if prev is None else radd(prev, c, n)
             return PhaseExpr(n, out)
         return self.scale_fraction(other)
 
@@ -235,12 +213,8 @@ class PhaseExpr:
         if got is not None:
             return got
         n = self.n
-        out = {}
-        for k, c in self.terms.items():
-            d = rderive(c, a, n)
-            if not ris_zero(d):
-                out[k] = d
-        result = PhaseExpr(n, out)
+        result = PhaseExpr(n, {k: rderive(c, a, n)
+                               for k, c in self.terms.items()})
         cache[("x", a)] = result
         return result
 
@@ -282,12 +256,8 @@ class PhaseExpr:
 
     def subst_hbar_zero(self) -> "PhaseExpr":
         n = self.n
-        out = {}
-        for key, c in self.terms.items():
-            cc = rsubst_hbar_zero(c, n)
-            if not ris_zero(cc):
-                out[key] = cc
-        return PhaseExpr(n, out)
+        return PhaseExpr(n, {key: rsubst_hbar_zero(c, n)
+                             for key, c in self.terms.items()})
 
     # -- comparison and evaluation -------------------------------------
 

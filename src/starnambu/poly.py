@@ -86,31 +86,7 @@ def padd(f: Poly, g: Poly) -> Poly:
 
 
 def psub(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    get = out.get
-    for k, c in g.items():
-        prev = get(k)
-        if prev is None:
-            out[k] = (-c[0], -c[1], c[2])
-            continue
-        pa, pb, pd = prev
-        ca, cb, cd = c
-        if pd == cd:
-            sa = pa - ca
-            sb = pb - cb
-            sd = pd
-        else:
-            sa = pa * cd - ca * pd
-            sb = pb * cd - cb * pd
-            sd = pd * cd
-        if sa == 0 and sb == 0:
-            del out[k]
-        elif sd == 1:
-            out[k] = (sa, sb, 1)
-        else:
-            cf = gcd(gcd(sa, sb), sd)
-            out[k] = (sa // cf, sb // cf, sd // cf) if cf > 1 else (sa, sb, sd)
-    return out
+    return padd(f, pneg(g))
 
 
 def pneg(f: Poly) -> Poly:

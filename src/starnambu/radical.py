@@ -79,6 +79,13 @@ def _is_one(p: Poly) -> bool:
     return len(p) == 1 and p.get(0) == QONE
 
 
+def _times(f: Poly, g: Poly) -> Poly:
+    """f*g, skipping the product when either factor is 1."""
+    if _is_one(f):
+        return g
+    return f if _is_one(g) else pmul(f, g)
+
+
 # -- factored denominators -----------------------------------------------
 
 # One shared triple per (i, j) when rest is 1: coefficients far outnumber
@@ -86,7 +93,6 @@ def _is_one(p: Poly) -> bool:
 _ONE_DEN = (0, 0, _POLY_ONE)
 _DEN_CACHE: dict = {(0, 0): _ONE_DEN}
 _POWERS: dict = {}
-_FACT_BY_VAL: dict = {}
 
 RZERO = RadicalCoeff({}, {}, _ONE_DEN)
 RONE = RadicalCoeff(dict(PONE), {}, _ONE_DEN)
@@ -120,20 +126,11 @@ def _pow(n: int, i: int, j: int) -> Poly:
 def rdenom(u: RadicalCoeff, n: int) -> Poly:
     """The denominator polynomial D of u."""
     i, j, rest = u[2]
-    p = _pow(n, i, j)
-    return p if _is_one(rest) else pmul(p, rest)
+    return _times(_pow(n, i, j), rest)
 
 
 def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
-    """Factor a denominator as lc * rbar**i * q2**j * rest (rest monic).
-
-    Results are memoized by value, so repeated denominators cost a
-    dictionary lookup.
-    """
-    vkey = (n, tuple(sorted(d.items())))
-    got = _FACT_BY_VAL.get(vkey)
-    if got is not None:
-        return got
+    """Factor a denominator as lc * rbar**i * q2**j * rest (rest monic)."""
     if phas_hbar(d, n):
         raise DivisionByZero("denominator may not involve hbar")
     nf = n + 1
@@ -153,8 +150,7 @@ def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
                 break
             body, j = q, j + 1
     rest = body if not _is_one(body) else _POLY_ONE
-    got = _FACT_BY_VAL[vkey] = (lc, i, j, rest)
-    return got
+    return lc, i, j, rest
 
 
 # -- reduction -----------------------------------------------------------
@@ -260,13 +256,9 @@ def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
     i1, j1, rest1 = d1
     i2, j2, rest2 = d2
     ii, jj = max(i1, i2), max(j1, j2)
-    s1 = _pow(n, ii - i1, jj - j1)
-    s2 = _pow(n, ii - i2, jj - j2)
     rest, m1, m2 = _common_rest(rest1, rest2, n)
-    if not _is_one(m1):
-        s1 = pmul(s1, m1)
-    if not _is_one(m2):
-        s2 = pmul(s2, m2)
+    s1 = _times(_pow(n, ii - i1, jj - j1), m1)
+    s2 = _times(_pow(n, ii - i2, jj - j2), m2)
     if not _is_one(s1):
         a1, b1 = pmul(a1, s1), pmul(b1, s1)
     if not _is_one(s2):
@@ -283,11 +275,7 @@ def radd(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
 
 
 def rsub(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    a1, b1, a2, b2, d = _common_denominator(u, v, n)
-    a, b = psub(a1, a2), psub(b1, b2)
-    if not a and not b:
-        return RZERO
-    return RadicalCoeff(a, b, d)
+    return radd(u, rneg(v), n)
 
 
 def rneg(u: RadicalCoeff) -> RadicalCoeff:
@@ -310,13 +298,7 @@ def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
         return RadicalCoeff(num_a, num_b, d1)
     i1, j1, rest1 = d1
     i2, j2, rest2 = d2
-    if _is_one(rest1):
-        rest = rest2
-    elif _is_one(rest2):
-        rest = rest1
-    else:
-        rest = pmul(rest1, rest2)
-    return RadicalCoeff(num_a, num_b, _den(i1 + i2, j1 + j2, rest))
+    return RadicalCoeff(num_a, num_b, _den(i1 + i2, j1 + j2, _times(rest1, rest2)))
 
 
 def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
@@ -378,57 +360,47 @@ def requal(u: RadicalCoeff, v: RadicalCoeff, n: int) -> bool:
 
 
 def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
-    """d/dx_index through the relation s' = -x_index * s / (1 - q**2).
+    """d/dx_index by one chain rule over the factored denominator.
 
-    Works directly on the factored denominator rbar**i * q2**j * rest so the
-    chain-rule factors never have to be divided back out.
+    With D = rbar**i * q2**j * rest, D'/D = 2x(i/rbar + j/q2) + rest'/rest
+    and s'/s = x/rbar, so (A + B*s)/D has derivative
+    (A' + B'*s - A*D'/D + B*s*(x/rbar - D'/D))/D.  The result goes over D*F,
+    where F holds one power of each factor those terms divide by: rbar when
+    i or B is nonzero, q2 when j is, and rest when it depends on x_index
+    (the new rest is then rest*rest).  D is never built, and nothing is
+    divided back out before the one reduction of the result.
     """
     a, b, den = u
-    da = pderive(a, index)
-    db = pderive(b, index)
-    x = pvar(index)
-    if den == _ONE_DEN:
-        if not b:
-            return RadicalCoeff(da, {}, _ONE_DEN) if da else RZERO
-        # d/dx (A + B s) = A' + (B' + x B / rbar) s
-        num_a = pmul(da, rbar_poly(n))
-        num_b = padd(pmul(db, rbar_poly(n)), pmul(x, b))
-        return _cancel(num_a, num_b, 1, 0, _POLY_ONE, n)
+    if not b and den == _ONE_DEN:
+        da = pderive(a, index)
+        return RadicalCoeff(da, {}, _ONE_DEN) if da else RZERO
     i, j, rest = den
-    if not _is_one(rest):
-        # generic quotient rule for unrecognized denominators
-        r = r_poly(n)
-        d = rdenom(u, n)
-        dd = pderive(d, index)
-        num_a = pmul(psub(pmul(da, d), pmul(a, dd)), r)
-        num_b = psub(pmul(psub(pmul(db, d), pmul(b, dd)), r),
-                     pmul(pmul(x, b), d))
-        return rmake(num_a, num_b, pmul(pmul(d, d), r), n)
-    # chain terms: d/dx rbar**-i q2**-j picks up -2x (i/rbar + j/q2)
-    need_r = 1 if (i or b) else 0
-    need_q = 1 if j else 0
-    rb = rbar_poly(n)
-    q2 = q2_poly(n)
-    if need_r and need_q:
-        big = pmul(rb, q2)
-        chain = pscale(padd(pscale(q2, (i, 0, 1)), pscale(rb, (j, 0, 1))),
-                       (2, 0, 1))
-        s_extra = q2
-    elif need_r:
-        big = rb
-        chain = pconst((2 * i, 0, 1))
-        s_extra = dict(PONE)
+    x = pvar(index)
+    drest = pderive(rest, index)
+    # F's factors are folded in one at a time: big is their product so far,
+    # ca is big*D'/D and cb is big*(D'/D - x/rbar), over the factors so far.
+    need_r = 1 if i or b else 0
+    if need_r:
+        big = rbar_poly(n)
+        ca = pscale(x, (2 * i, 0, 1)) if i else {}
+        cb = pscale(x, (2 * i - 1, 0, 1))
     else:
-        big = q2
-        chain = pconst((2 * j, 0, 1))
-        s_extra = dict(PONE)
-    xchain = pmul(x, chain)
-    num_a = psub(pmul(da, big), pmul(a, xchain))
-    num_b = pmul(db, big)
-    if b:
-        num_b = padd(num_b, pmul(pmul(x, s_extra), b))
-        num_b = psub(num_b, pmul(b, xchain))
-    return _cancel(num_a, num_b, i + need_r, j + need_q, _POLY_ONE, n)
+        big, ca, cb = _POLY_ONE, {}, {}
+    factors = []
+    if j:
+        factors.append((q2_poly(n), pscale(x, (2 * j, 0, 1))))
+    if drest:
+        factors.append((rest, drest))
+    for factor, g in factors:
+        gbig = _times(g, big)
+        ca = padd(pmul(ca, factor), gbig) if ca else gbig
+        if b:
+            cb = padd(pmul(cb, factor), gbig)
+        big = _times(big, factor)
+    num_a = psub(_times(pderive(a, index), big), pmul(a, ca))
+    num_b = psub(_times(pderive(b, index), big), pmul(b, cb)) if b else {}
+    return _cancel(num_a, num_b, i + need_r, j + (1 if j else 0),
+                   pmul(rest, rest) if drest else rest, n)
 
 
 def rsubst_hbar_zero(u: RadicalCoeff, n: int) -> RadicalCoeff:

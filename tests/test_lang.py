@@ -179,6 +179,15 @@ class TestPrintCanonical:
         assert print_canonical(got) == want
         assert evaluate(want, b).equals(got)
 
+    def test_derivative_keeps_unrelated_rest_unsquared(self):
+        # x1 - x2 does not contain x3, so d/dx3 leaves it to the first power
+        b = Binding(model=get_model("sphere:3"))
+        got = evaluate("diff(s/(x1 - x2), x3)", b)
+        want = ("x3*s/(x1*x1*x1 - x1*x1*x2 + x1*x2*x2 + x1*x3*x3 - x2*x2*x2"
+                " - x2*x3*x3 - x1 + x2)")
+        assert print_canonical(got) == want
+        assert evaluate(want, b).equals(got)
+
     def test_roundtrip_100_random(self):
         rng = random.Random(73)
         b2 = Binding(dimension=2)

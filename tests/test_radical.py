@@ -6,7 +6,9 @@ import pytest
 
 from starnambu.errors import DivisionByZero, InexactDivision, NotInvertible
 from starnambu.gauss import QONE
-from starnambu.poly import PONE, pack, padd, pmul, psub, pvar
+from starnambu.phase import random_circle_point
+from starnambu.poly import (PONE, pack, padd, pconst, pmul, pneg, pscale, psub,
+                            pvar)
 from starnambu.radical import (RONE, RZERO, RadicalCoeff, q2_poly, r_poly,
                                radd, rbar_poly, rdenom, rderive, rdiv,
                                rdivide_ihbar, requal, reval, rfrom_poly, rinv,
@@ -171,6 +173,56 @@ def test_derivative_quotient_rule_random():
             rhs = radd(rmul(rderive(a, var, N), b, N),
                        rmul(a, rderive(b, var, N), N), N)
             assert requal(lhs, rhs, N)
+
+
+def test_derivative_matches_sympy():
+    """rderive against sympy's d/dx of (A + B*sqrt(r))/(rbar**i q2**j rest).
+
+    Values are compared at exact rational points of the sphere, where s may
+    be negative, so sqrt(r) is replaced by a symbol for s before the x's.
+    """
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    s_sym = sp.Symbol("s")
+    for n in (2, 3):
+        xs = sp.symbols(f"x1:{n + 1}")
+        r = 1 - sum(v * v for v in xs)
+        x1, x2 = pvar(0), pvar(1)
+        rests = [(padd(x1, pneg(x2)), xs[0] - xs[1]),
+                 (padd(dict(PONE), pmul(x1, x1)), 1 + xs[0] ** 2),
+                 (padd(x1, pconst((2, 0, 1))), xs[0] + 2)]
+        for i, j, with_b in ((0, 0, True), (1, 0, False), (0, 1, False),
+                             (2, 1, True)):
+            for rest, rest_sym in rests:
+                a, a_sym, b, b_sym = {}, 0, {}, 0
+                for f in range(n):
+                    c, g = rng.randint(-3, 3), rng.randrange(n)
+                    a = padd(a, pscale(pmul(pvar(f), pvar(g)), (c, 0, 1)))
+                    a_sym += c * xs[f] * xs[g]
+                    if with_b:
+                        b = padd(b, pscale(pvar(f), (c, 1, 1)))
+                        b_sym += (c + sp.I) * xs[f]
+                den = rest
+                for _ in range(i):
+                    den = pmul(den, rbar_poly(n))
+                for _ in range(j):
+                    den = pmul(den, q2_poly(n))
+                u = rmake(a, b, den, n)
+                expr = (a_sym + b_sym * sp.sqrt(r)) / (
+                    (-r) ** i * (1 - r) ** j * rest_sym)
+                for index in range(n):
+                    want = sp.diff(expr, xs[index]).subs(sp.sqrt(r), s_sym)
+                    got = rderive(u, index, n)
+                    pt = random_circle_point(n, rng)
+                    vals = {v: sp.Rational(c.numerator, c.denominator)
+                            for v, c in zip(xs, pt.xvals)}
+                    if rest_sym.subs(vals) == 0:
+                        continue
+                    vals[s_sym] = sp.Rational(pt.sval.numerator,
+                                              pt.sval.denominator)
+                    re, im, d = reval(got, n, pt.xvals, pt.sval, Fraction(0))
+                    assert want.subs(vals) == sp.Rational(re, d) \
+                        + sp.I * sp.Rational(im, d), (n, i, j, index)
 
 
 def test_hbar_division():
