@@ -298,7 +298,8 @@ def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
         return RadicalCoeff(num_a, num_b, d1)
     i1, j1, rest1 = d1
     i2, j2, rest2 = d2
-    return RadicalCoeff(num_a, num_b, _den(i1 + i2, j1 + j2, _times(rest1, rest2)))
+    return RadicalCoeff(num_a, num_b,
+                        _den(i1 + i2, j1 + j2, _times(rest1, rest2)))
 
 
 def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
