@@ -277,15 +277,13 @@ def symplectic_trace(entries: Sequence[PhaseExpr], n: Optional[int] = None) -> P
 class AlgebraHandle:
     """An associative unital algebra the k-products can run over."""
 
-    kind: str
     unit: Any
     mul: Callable[[Any, Any], Any]
-    eq: Callable[[Any, Any], bool]
+    commutator: Callable[[Any, Any], Any]
 
 
 def phase_algebra(n: int) -> AlgebraHandle:
-    return AlgebraHandle("phase-star", PhaseExpr.one(n), star,
-                         lambda a, b: a.equals(b))
+    return AlgebraHandle(PhaseExpr.one(n), star, star_commutator)
 
 
 @dataclass
@@ -310,8 +308,8 @@ class SubsetCache:
         self._data: Dict[tuple, Any] = {}
         self._pins: list = []
 
-    def key(self, signed: bool, subset: tuple) -> tuple:
-        return (signed,) + tuple(id(e) for e in subset)
+    def key(self, subset: tuple) -> tuple:
+        return tuple(id(e) for e in subset)
 
     def get(self, k):
         return self._data.get(k)
@@ -343,93 +341,95 @@ def _naive_fold(entries, alg, signed: bool, stats: BracketStats):
     return total
 
 
-def _subset_fold(entries, alg, signed: bool, stats: BracketStats,
-                 cache: Optional[SubsetCache]):
+def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
+               cache: Optional[SubsetCache]):
+    """T(S), the k-product of the entries in S in order, memoized over
+    subsets S; a, b and j are 0-based positions in S.
+
+    A pair is its commutator (anticommutator when unsigned); a larger even
+    S groups the permutations by their first two entries, T(S) = sum over
+    a < b of (-1)**(a + b - 1) T({a, b}) T(S - {a, b}), and an odd S
+    takes T(S) = sum over j of (-1)**j x_j T(S - {j}) first.
+    """
     k = len(entries)
     memo: Dict[int, Any] = {}
 
-    def eval_mask(mask: int):
+    def fold(mask: int):
         got = memo.get(mask)
         if got is not None:
             return got
-        positions = [j for j in range(k) if mask & (1 << j)]
+        bits = [1 << j for j in range(k) if mask >> j & 1]
+        subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
         ck = None
         if cache is not None:
-            ck = cache.key(signed, tuple(entries[j] for j in positions))
-            hit = cache.get(ck)
-            if hit is not None:
-                memo[mask] = hit
-                return hit
+            ck = cache.key(subset)
+            got = cache.get(ck)
+            if got is not None:
+                memo[mask] = got
+                return got
         stats.nodes += 1
-        if len(positions) == 1:
-            val = entries[positions[0]]
+        m = len(bits)
+        if m == 1:
+            val = subset[0]
+        elif m == 2:
+            a, b = subset
+            stats.products += 1 if signed else 2
+            val = alg.commutator(a, b) if signed else alg.mul(a, b) + alg.mul(b, a)
         else:
-            total = None
-            sign = 1
-            for j in positions:
-                sub = eval_mask(mask & ~(1 << j))
-                prod = alg.mul(entries[j], sub)
+            if m % 2:
+                terms = ((j, subset[j], fold(mask ^ bits[j])) for j in range(m))
+            else:
+                terms = ((a + b - 1, fold(bits[a] | bits[b]),
+                          fold(mask ^ bits[a] ^ bits[b]))
+                         for a, b in combinations(range(m), 2))
+            val = None
+            for parity, left, right in terms:
+                prod = alg.mul(left, right)
                 stats.products += 1
-                if signed and sign < 0:
+                if signed and parity % 2:
                     prod = -prod
-                total = prod if total is None else total + prod
-                if signed:
-                    sign = -sign
-            val = total
+                val = prod if val is None else val + prod
         memo[mask] = val
         if cache is not None:
-            subset = tuple(entries[j] for j in positions)
             cache.put(ck, subset, val)
         return val
 
-    return eval_mask((1 << k) - 1)
+    return fold((1 << k) - 1)
+
+
+def _product(entries, alg, signed: bool, naive: bool, cache, what: str):
+    entries = list(entries)
+    if not entries:
+        raise ArityError(f"{what} of zero arguments")
+    stats = BracketStats()
+    if naive:
+        value = _naive_fold(entries, alg, signed, stats)
+    else:
+        value = _pair_fold(entries, alg, signed, stats, cache)
+    return BracketResult(value, stats)
 
 
 def qnb(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
         cache: Optional[SubsetCache] = None) -> BracketResult:
     """Fully antisymmetrized product over all permutations.
 
-    The default path is the subset recursion
-    [A1..Ak] = sum_j (-1)**(j-1) Aj * [A1.. without Aj ..Ak]
+    The default path is the commutator-pair resolution of ``_pair_fold``,
     memoized over argument subsets; it agrees exactly with the naive
     k!-term sum, which stays available as the cross-check oracle.
     """
-    entries = list(entries)
-    if not entries:
-        raise ArityError("bracket of zero arguments")
-    stats = BracketStats()
-    if naive:
-        value = _naive_fold(entries, alg, True, stats)
-    else:
-        value = _subset_fold(entries, alg, True, stats, cache)
-    return BracketResult(value, stats)
+    return _product(entries, alg, True, naive, cache, "bracket")
 
 
-def jordan(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
-           cache: Optional[SubsetCache] = None) -> BracketResult:
+def jordan(entries: Sequence[Any], alg: AlgebraHandle,
+           naive: bool = False) -> BracketResult:
     """Fully symmetrized product over all permutations (no signs)."""
-    entries = list(entries)
-    if not entries:
-        raise ArityError("jordan product of zero arguments")
-    stats = BracketStats()
-    if naive:
-        value = _naive_fold(entries, alg, False, stats)
-    else:
-        value = _subset_fold(entries, alg, False, stats, cache)
-    return BracketResult(value, stats)
-
-
-def commutator(alg: AlgebraHandle, a, b):
-    return alg.mul(a, b) - alg.mul(b, a)
+    return _product(entries, alg, False, naive, None, "jordan product")
 
 
 def resolve_qnb4(a, b, c, d, alg: AlgebraHandle):
     """Explicit commutator-pair resolution of the 4-argument bracket."""
-    ab = commutator(alg, a, b)
-    cd = commutator(alg, c, d)
-    ac = commutator(alg, a, c)
-    bd = commutator(alg, b, d)
-    ad = commutator(alg, a, d)
-    cb = commutator(alg, c, b)
+    comm = alg.commutator
+    ab, cd, ac, bd, ad, cb = (comm(a, b), comm(c, d), comm(a, c),
+                              comm(b, d), comm(a, d), comm(c, b))
     return (alg.mul(ab, cd) - alg.mul(ac, bd) - alg.mul(ad, cb)
             + alg.mul(cd, ab) - alg.mul(bd, ac) - alg.mul(cb, ad))

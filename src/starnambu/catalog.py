@@ -638,7 +638,7 @@ def _run_qn_01(ctx: RunContext) -> CheckOutcome:
         naive = qnb(vals, alg, naive=True)
         resolved = resolve_qnb4(*vals, alg)
         if not direct.value.equals(naive.value):
-            return _fail("subset recursion disagrees with the naive sum",
+            return _fail("commutator-pair resolution disagrees with the naive sum",
                          direct.value - naive.value)
         if not direct.value.equals(resolved):
             return _fail("commutator resolution disagrees",
@@ -649,7 +649,7 @@ def _run_qn_01(ctx: RunContext) -> CheckOutcome:
                                            for _ in range(3)]) for _ in range(4)]
         direct = qnb(mats, malg).value
         if direct != qnb(mats, malg, naive=True).value:
-            return _fail("matrix subset recursion disagrees with naive sum")
+            return _fail("matrix commutator-pair resolution disagrees with naive sum")
         if direct != resolve_qnb4(*mats, malg):
             return _fail("matrix commutator resolution disagrees")
         if direct != naive_bracket(mats):

@@ -149,8 +149,8 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def matrix_algebra(dim: int) -> AlgebraHandle:
-    return AlgebraHandle("matrix", ExactMatrix.identity(dim),
-                         lambda a, b: a * b, lambda a, b: a == b)
+    return AlgebraHandle(ExactMatrix.identity(dim), lambda a, b: a * b,
+                         commutator)
 
 
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

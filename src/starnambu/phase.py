@@ -30,13 +30,14 @@ class PhaseExpr:
     many times.
     """
 
-    __slots__ = ("n", "terms", "_dcache")
+    __slots__ = ("n", "terms", "_dcache", "_topc")
     __hash__ = None
 
     def __init__(self, n: int, terms: Dict[int, RadicalCoeff]):
         self.n = n
         self.terms = {k: c for k, c in terms.items() if not ris_zero(c)}
         self._dcache = None
+        self._topc = None
 
     # -- constructors -------------------------------------------------
 
@@ -133,6 +134,8 @@ class PhaseExpr:
     def __mul__(self, other):
         if isinstance(other, PhaseExpr):
             self._check(other)
+            if self._top() + other._top() > MASK:
+                raise DomainError(f"product overflows {BITS}-bit exponents")
             n = self.n
             out: Dict[int, RadicalCoeff] = {}
             for k1, c1 in self.terms.items():
@@ -175,18 +178,36 @@ class PhaseExpr:
     def __pow__(self, k: int) -> "PhaseExpr":
         if k < 0:
             raise DomainError("negative powers of phase expressions")
-        n = self.n
-        top = 0
-        for key, (a, b, (i, j, rest)) in self.terms.items():
-            top = max(top, _top_exponent((key,), n, 0), _top_exponent(a, n, 0),
-                      _top_exponent(b, n, 1),
-                      _top_exponent(rest, n, 2 * (i + j)))
-        if k * top > MASK:
+        if k * self._top() > MASK:
             raise DomainError(f"power {k} overflows {BITS}-bit exponents")
-        out = PhaseExpr.one(n)
+        out = PhaseExpr.one(self.n)
         for _ in range(k):
             out = out * self
         return out
+
+    def _top(self) -> int:
+        """The largest exponent one factor of self adds to any packed field,
+        so a product overflows no field while the factors' tops sum to at
+        most MASK.  Computed once per value.
+
+        s counts as degree 1 in each x, since s**2 = 1 - q**2, and
+        rbar**i * q2**j as degree 2*(i + j).
+        """
+        if self._topc is None:
+            shift = BITS * self.n
+            fields = range(0, shift, BITS)
+            top = 0
+            for key, (a, b, (i, j, rest)) in self.terms.items():
+                for monos, extra in (((key,), 0), (a, 0), (b, 1),
+                                     (rest, 2 * (i + j))):
+                    for m in monos:
+                        if m >> shift > top:
+                            top = m >> shift
+                        for f in fields:
+                            if ((m >> f) & MASK) + extra > top:
+                                top = ((m >> f) & MASK) + extra
+            self._topc = top
+        return self._topc
 
     def invert_coefficient(self) -> "PhaseExpr":
         """Inverse of a momentum-free expression, when representable."""
@@ -295,21 +316,6 @@ class PhaseExpr:
         """The canonical text form of :func:`starnambu.lang.print_canonical`."""
         from .lang import print_canonical
         return print_canonical(self)
-
-
-def _top_exponent(monos, n: int, extra: int) -> int:
-    """The largest packed exponent over monos, extra added to each x field.
-
-    One factor of a power adds at most this much to any field: s counts as
-    degree 1 in each x, since s**2 = 1 - q**2, and rbar**i * q2**j as
-    degree 2*(i + j).
-    """
-    top = 0
-    shift = BITS * n
-    for m in monos:
-        top = max(top, m >> shift,
-                  *(((m >> (BITS * f)) & MASK) + extra for f in range(n)))
-    return top
 
 
 def _check_index(n: int, a: int):

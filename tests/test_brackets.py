@@ -233,16 +233,16 @@ class TestBracketProducts:
         alg = phase_algebra(2)
         vals = [rand_expr(2, rng, pdeg=1, terms=2) for _ in range(3)]
         a, b, c = vals
-        assert alg.eq(alg.mul(alg.unit, a), a)
-        assert alg.eq(alg.mul(a, alg.unit), a)
-        assert alg.eq(alg.mul(alg.mul(a, b), c), alg.mul(a, alg.mul(b, c)))
+        assert alg.mul(alg.unit, a).equals(a)
+        assert alg.mul(a, alg.unit).equals(a)
+        assert alg.mul(alg.mul(a, b), c).equals(alg.mul(a, alg.mul(b, c)))
         malg = matrix_algebra(3)
         mats = [ExactMatrix.from_int_rows(
             [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
             for _ in range(3)]
         a, b, c = mats
-        assert malg.eq(malg.mul(malg.unit, a), a)
-        assert malg.eq(malg.mul(malg.mul(a, b), c), malg.mul(a, malg.mul(b, c)))
+        assert malg.mul(malg.unit, a) == a
+        assert malg.mul(malg.mul(a, b), c) == malg.mul(a, malg.mul(b, c))
 
     def test_subset_recursion_matches_naive_all_k(self):
         rng = random.Random(28)
@@ -256,6 +256,17 @@ class TestBracketProducts:
                 assert fast_q == qnb(mats, malg, naive=True).value
                 assert fast_q == naive_bracket(mats)
                 assert jordan(mats, malg).value == jordan(mats, malg, naive=True).value
+
+    def test_six_bracket_cost_pinned(self):
+        # 15 pair commutators, then 6 products at each of the 15 four-entry
+        # subsets and 15 at the top: 120 products over 1 + 15 + 15 nodes
+        rng = random.Random(38)
+        malg = matrix_algebra(3)
+        mats = [ExactMatrix.from_int_rows(
+            [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+            for _ in range(6)]
+        stats = qnb(mats, malg).stats
+        assert (stats.products, stats.nodes) == (120, 31)
 
     def test_phase_subset_matches_naive(self):
         rng = random.Random(29)

@@ -121,6 +121,14 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             PhaseExpr.momentum(2, 0) ** 65536
 
+    def test_product_past_16_bit_exponents_raises(self):
+        # sixteen squarings of x1 used to wrap x1**65536 around into x2
+        x = PhaseExpr.coord(2, 0)
+        for _ in range(15):
+            x = x * x
+        with pytest.raises(DomainError):
+            x * x
+
 
 class TestDifferentiate:
     def test_momentum_derivative(self):
