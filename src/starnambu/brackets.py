@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ArityError, DimensionError
+from .errors import ArityError, DimensionError, DomainError
 from .gauss import qmul, qpow_i
 from .phase import PhaseExpr
 from .poly import BITS, MASK, pscale, pshift_hbar
@@ -101,14 +101,25 @@ def _star_tables(f: PhaseExpr, g: PhaseExpr):
     return f_orders, g_orders, fx, gx
 
 
-def _star_sum(f_orders, g_orders, fx, gx, n: int, bound: int,
-              commutator: bool) -> PhaseExpr:
+def _star_sum(f: PhaseExpr, g: PhaseExpr, commutator: bool) -> PhaseExpr:
     """Sum the bidifferential series for f*g, or f*g - g*f if commutator.
 
     Products are accumulated unreduced and each output coefficient is
     reduced once at the end.  The commutator keeps the odd-order pairs
-    only, each at twice its f*g weight.
+    only, each at twice its f*g weight.  A term of order k is shifted by
+    hbar**k, k at most the termination bound, so DomainError is raised
+    when the operands' top exponents and that bound pass MASK.
     """
+    name = "star commutator" if commutator else "star product"
+    if f.n != g.n:
+        raise DimensionError(f"{name} needs equal dimensions")
+    n = f.n
+    if f.is_zero() or g.is_zero():
+        return PhaseExpr.zero(n)
+    bound = f.momentum_degree() + g.momentum_degree()
+    if f._top() + g._top() + bound > MASK:
+        raise DomainError(f"{name} overflows {BITS}-bit exponents")
+    f_orders, g_orders, fx, gx = _star_tables(f, g)
     acc: Dict[int, Any] = {}
     for beta in f_orders:
         tb = _total(beta, n)
@@ -143,14 +154,7 @@ def _star_sum(f_orders, g_orders, fx, gx, n: int, bound: int,
 
 def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
     """Associative noncommutative star product; exact, terminating series."""
-    if f.n != g.n:
-        raise DimensionError("star product needs equal dimensions")
-    n = f.n
-    if f.is_zero() or g.is_zero():
-        return PhaseExpr.zero(n)
-    bound = f.momentum_degree() + g.momentum_degree()
-    f_orders, g_orders, fx, gx = _star_tables(f, g)
-    return _star_sum(f_orders, g_orders, fx, gx, n, bound, commutator=False)
+    return _star_sum(f, g, commutator=False)
 
 
 def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -161,14 +165,7 @@ def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
     signs agree when |alpha| + |beta| is even, so those terms cancel; the
     odd-order terms survive, each at 2 * (-1)**|beta| times its f*g weight.
     """
-    if f.n != g.n:
-        raise DimensionError("star commutator needs equal dimensions")
-    n = f.n
-    if f.is_zero() or g.is_zero():
-        return PhaseExpr.zero(n)
-    bound = f.momentum_degree() + g.momentum_degree()
-    f_orders, g_orders, fx, gx = _star_tables(f, g)
-    return _star_sum(f_orders, g_orders, fx, gx, n, bound, commutator=True)
+    return _star_sum(f, g, commutator=True)
 
 
 def poisson(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:

@@ -18,7 +18,7 @@ from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
 from .gauss import qpow_i
 from .poly import (PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar,
-                   psub, pstr)
+                   psub)
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
@@ -135,11 +135,12 @@ class ExactMatrix:
         return self.rows[i][j]
 
     def __repr__(self):
+        from .lang import _poly_str
         cells = []
         for i, row in enumerate(self.rows):
             for j, e in enumerate(row):
                 if e:
-                    cells.append(f"[{i},{j}]={pstr(e, 0, ['hbar'])}")
+                    cells.append(f"[{i},{j}]={_poly_str(e, 0)[0]}")
         body = ", ".join(cells) if cells else "0"
         return f"ExactMatrix({self.dim}, {body})"
 

@@ -19,7 +19,7 @@ from .radical import (RadicalCoeff, RZERO, radd, rderive, rdivide_ihbar,
                       rdivisible_hbar, requal, reval, ris_poly, ris_zero,
                       rfrom_poly, rfrom_scalar, rinv, rmake, rmul, rneg,
                       rs_coeff, rscale, rsub, rsubst_hbar_zero,
-                      rtimes_ihbar, rw_coeff, r_poly)
+                      rtimes_ihbar, rw_coeff, r_poly, rdenom)
 
 
 class PhaseExpr:
@@ -190,16 +190,16 @@ class PhaseExpr:
         so a product overflows no field while the factors' tops sum to at
         most MASK.  Computed once per value.
 
-        s counts as degree 1 in each x, since s**2 = 1 - q**2, and
-        rbar**i * q2**j as degree 2*(i + j).
+        s counts as degree 1 in each x, since s**2 = 1 - q**2, and the
+        denominator through its polynomial, cached per value by ``rdenom``.
         """
         if self._topc is None:
             shift = BITS * self.n
             fields = range(0, shift, BITS)
             top = 0
-            for key, (a, b, (i, j, rest)) in self.terms.items():
-                for monos, extra in (((key,), 0), (a, 0), (b, 1),
-                                     (rest, 2 * (i + j))):
+            for key, c in self.terms.items():
+                for monos, extra in (((key,), 0), (c[0], 0), (c[1], 1),
+                                     (rdenom(c, self.n), 0)):
                     for m in monos:
                         if m >> shift > top:
                             top = m >> shift

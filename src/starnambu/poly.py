@@ -17,8 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .gauss import (QONE, qadd, qis_zero, qmul, qpow_i, qdiv,
-                    qfromfrac, qre, qim)
+from .gauss import QONE, qadd, qis_zero, qmul, qpow_i, qdiv, qfromfrac
 
 BITS = 16
 MASK = (1 << BITS) - 1
@@ -311,35 +310,3 @@ def peval(f: Poly, nvars: int, xvals, hbar_val) -> tuple:
             m *= Fraction(hbar_val) ** eh
         total = qadd(total, qmul(c, qfromfrac(m)))
     return total
-
-
-def pstr(f: Poly, nvars: int, names=None) -> str:
-    """Human-readable form, mainly for debugging and error witnesses."""
-    if not f:
-        return "0"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(nvars)] + ["hbar"]
-    parts = []
-    for key in sorted(f, key=lambda k: grlex_key(k, nvars + 1), reverse=True):
-        c = f[key]
-        factors = []
-        for i in range(nvars + 1):
-            e = (key >> (BITS * i)) & MASK
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        re, im = qre(c), qim(c)
-        if im == 0:
-            cs = str(re)
-        elif re == 0:
-            cs = f"{im}*i"
-        else:
-            cs = f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
-        if factors and cs == "1":
-            parts.append("*".join(factors))
-        elif factors and cs == "-1":
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append("*".join([cs] + factors) if factors else cs)
-    return " + ".join(parts).replace("+ -", "- ")

@@ -2,18 +2,18 @@
 
 s is a formal generator with the single relation s**2 = 1 - sum(x_i**2).
 A and B are polynomials in (x_1..x_n, hbar); the denominator D is an s-free
-monic polynomial in the x's alone, held in factored form as the triple
-(i, j, rest) meaning rbar**i * q2**j * rest, with rbar = q**2 - 1 (the monic
-associate of 1 - q**2), q2 = sum x_i**2 and rest monic.  Multiplying and
-adding denominators is exponent bookkeeping, and a sum over two rests is
-over the larger when one divides the other; the polynomial D is built only
-by ``rdenom``, for inversion, cross-multiplied equality, evaluation and
-printing.  ``rmul``, ``rmake`` and ``rderive`` reduce their result;
-``rmul_raw`` does not, so a star sum accumulates raw products and reduces
-each output coefficient once with ``rreduce``.  Sums are not reduced.
-Equality is decided by cross-multiplication, so reduction affects
-performance and printed form only.  Cancellation is decided by exact trial
-division alone, the s-part first.
+monic polynomial in the x's alone, held as a sorted tuple of (factor,
+exponent) pairs of monic factors, () meaning 1.  ``rmake`` splits a new
+denominator into powers of rbar = q**2 - 1 (the monic associate of
+1 - q**2), powers of q2 = sum x_i**2 and one remaining factor; after that
+every operation is exponent bookkeeping over the tuple.  The polynomial D is
+built only by ``rdenom``, cached by value.  ``rmul``, ``rmake`` and
+``rderive`` reduce their result; ``rmul_raw`` does not, so a star sum
+accumulates raw products and reduces each output coefficient once with
+``rreduce``.  Sums are not reduced.  Equality is decided by
+cross-multiplication, so reduction affects performance and printed form
+only.  Cancellation is decided by exact trial division alone, the s-part
+first.
 """
 
 from __future__ import annotations
@@ -21,23 +21,25 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .errors import DivisionByZero, EvaluationPole, InexactDivision, NotInvertible
-from .gauss import QONE, qdiv, qinv, qis_zero, qmul, qadd, qfromfrac
+from .gauss import QONE, qdiv, qinv, qis_zero, qmul, qadd, qfromfrac, qpow_i
 from .poly import (PONE, Poly, padd, pconst, pderive, pdivide_ihbar,
                    pdivisible_hbar, pdivmod_exact, pdrop_hbar, peval,
                    phas_hbar, pis_zero, pmonic, pmul, pneg, pscale, pshift_hbar,
                    psub, pvar)
-from .gauss import qpow_i
+
+Den = Tuple[Tuple[tuple, int], ...]
 
 
 class RadicalCoeff(NamedTuple):
     """One coefficient-field element, value (num_a + num_b*s)/D.
 
-    ``denom`` is the factored denominator (i, j, rest); ``rdenom`` gives D.
+    ``denom`` is D as a sorted tuple of (factor, exponent) pairs, () for 1;
+    ``rdenom`` gives the polynomial D.
     """
 
     num_a: Poly
     num_b: Poly
-    denom: Tuple[int, int, Poly]
+    denom: Den
 
 
 _POLY_ONE = {0: QONE}
@@ -79,78 +81,60 @@ def _is_one(p: Poly) -> bool:
     return len(p) == 1 and p.get(0) == QONE
 
 
-def _times(f: Poly, g: Poly) -> Poly:
-    """f*g, skipping the product when either factor is 1."""
-    if _is_one(f):
-        return g
-    return f if _is_one(g) else pmul(f, g)
-
-
 # -- factored denominators -----------------------------------------------
 
-# One shared triple per (i, j) when rest is 1: coefficients far outnumber
-# distinct exponent pairs, so fresh tuples would cost memory for nothing.
-_ONE_DEN = (0, 0, _POLY_ONE)
-_DEN_CACHE: dict = {(0, 0): _ONE_DEN}
-_POWERS: dict = {}
+# Caches keyed by value: D per denominator, rderive's plan per
+# (denominator, variable) and radd's per pair of denominators.
+_DENOMS: dict = {(): _POLY_ONE}
+_DERIVE_PLANS: dict = {}
+_ADD_PLANS: dict = {}
 
-RZERO = RadicalCoeff({}, {}, _ONE_DEN)
-RONE = RadicalCoeff(dict(PONE), {}, _ONE_DEN)
-
-
-def _den(i: int, j: int, rest: Poly) -> tuple:
-    """The denominator triple rbar**i * q2**j * rest."""
-    if not _is_one(rest):
-        return (i, j, rest)
-    got = _DEN_CACHE.get((i, j))
-    if got is None:
-        got = _DEN_CACHE[(i, j)] = (i, j, _POLY_ONE)
-    return got
+RZERO = RadicalCoeff({}, {}, ())
+RONE = RadicalCoeff(dict(PONE), {}, ())
 
 
-def _pow(n: int, i: int, j: int) -> Poly:
-    """The polynomial rbar**i * q2**j, cached by (n, i, j)."""
-    key = (n, i, j)
-    got = _POWERS.get(key)
-    if got is None:
-        if j:
-            got = pmul(_pow(n, i, j - 1), q2_poly(n))
-        elif i:
-            got = pmul(_pow(n, i - 1, 0), rbar_poly(n))
-        else:
-            got = _POLY_ONE
-        _POWERS[key] = got
-    return got
+def _freeze(p: Poly) -> tuple:
+    """p as a hashable factor: its sorted item tuple."""
+    return tuple(sorted(p.items()))
+
+
+def _expand(pairs) -> Poly:
+    """The product of factor**exponent over (factor, exponent) pairs."""
+    out = _POLY_ONE
+    for f, e in pairs:
+        for _ in range(e):
+            out = pmul(out, dict(f))
+    return out
 
 
 def rdenom(u: RadicalCoeff, n: int) -> Poly:
     """The denominator polynomial D of u."""
-    i, j, rest = u[2]
-    return _times(_pow(n, i, j), rest)
+    d = _DENOMS.get(u[2])
+    if d is None:
+        d = _DENOMS[u[2]] = _expand(u[2])
+    return d
 
 
-def _dfact(d: Poly, n: int) -> Tuple[tuple, int, int, Poly]:
+def _dfact(d: Poly, n: int) -> Tuple[tuple, Den]:
     """Factor a denominator as lc * rbar**i * q2**j * rest (rest monic)."""
     if phas_hbar(d, n):
         raise DivisionByZero("denominator may not involve hbar")
     nf = n + 1
     body, lc = pmonic(d, nf)
-    i = j = 0
+    den = []
     if n > 0 and not _is_one(body):
-        rb = rbar_poly(n)
-        while True:
-            q = pdivmod_exact(body, rb, nf)
-            if q is None:
-                break
-            body, i = q, i + 1
-        q2 = q2_poly(n)
-        while True:
-            q = pdivmod_exact(body, q2, nf)
-            if q is None:
-                break
-            body, j = q, j + 1
-    rest = body if not _is_one(body) else _POLY_ONE
-    return lc, i, j, rest
+        for factor in (rbar_poly(n), q2_poly(n)):
+            e = 0
+            while True:
+                q = pdivmod_exact(body, factor, nf)
+                if q is None:
+                    break
+                body, e = q, e + 1
+            if e:
+                den.append((_freeze(factor), e))
+    if not _is_one(body):
+        den.append((_freeze(body), 1))
+    return lc, tuple(sorted(den))
 
 
 # -- reduction -----------------------------------------------------------
@@ -173,49 +157,47 @@ def _strip(a: Poly, b: Poly, factor: Poly, k: int, nf: int):
     return a, b, k
 
 
-def _cancel(a: Poly, b: Poly, i: int, j: int, rest: Poly, n: int) -> RadicalCoeff:
-    """Cancel factored denominator parts against both numerators."""
+def _cancel(a: Poly, b: Poly, den: Den, n: int) -> RadicalCoeff:
+    """Cancel each factor of den, up to its exponent, from both numerators."""
     if not a and not b:
         return RZERO
-    nf = n + 1
-    if n > 0 and (i or j):
-        a, b, i = _strip(a, b, rbar_poly(n), i, nf)
-        a, b, j = _strip(a, b, q2_poly(n), j, nf)
-    if not _is_one(rest):
-        a, b, left = _strip(a, b, rest, 1, nf)
-        if not left:
-            rest = _POLY_ONE
-    return RadicalCoeff(a, b, _den(i, j, rest))
+    kept = []
+    for f, e in den:
+        a, b, left = _strip(a, b, dict(f), e, n + 1)
+        if left:
+            kept.append((f, left))
+    return RadicalCoeff(a, b, tuple(kept))
 
 
 def rmake(num_a: Poly, num_b: Poly, denom: Poly, n: int) -> RadicalCoeff:
     """Build a reduced coefficient from raw parts (denominator s-free)."""
     if not denom:
         raise DivisionByZero("zero denominator in coefficient field")
-    lc, i, j, rest = _dfact(denom, n)
+    lc, den = _dfact(denom, n)
     if lc != QONE:
         inv = qinv(lc)
         num_a = pscale(num_a, inv)
         num_b = pscale(num_b, inv)
-    return _cancel(num_a, num_b, i, j, rest, n)
+    return _cancel(num_a, num_b, den, n)
 
 
 def rfrom_poly(p: Poly) -> RadicalCoeff:
-    return RadicalCoeff(dict(p), {}, _ONE_DEN)
+    return RadicalCoeff(dict(p), {}, ())
 
 
 def rfrom_scalar(c) -> RadicalCoeff:
-    return RadicalCoeff(pconst(c), {}, _ONE_DEN)
+    return RadicalCoeff(pconst(c), {}, ())
 
 
 def rs_coeff() -> RadicalCoeff:
     """The radical s itself."""
-    return RadicalCoeff({}, dict(PONE), _ONE_DEN)
+    return RadicalCoeff({}, dict(PONE), ())
 
 
 def rw_coeff(n: int) -> RadicalCoeff:
     """w = (1 - s)/q**2 = 1/(1 + s)."""
-    return _cancel(dict(PONE), {0: (-1, 0, 1)}, 0, 1, _POLY_ONE, n)
+    return _cancel(dict(PONE), {0: (-1, 0, 1)},
+                   ((_freeze(q2_poly(n)), 1),), n)
 
 
 def ris_zero(c: RadicalCoeff) -> bool:
@@ -223,51 +205,63 @@ def ris_zero(c: RadicalCoeff) -> bool:
 
 
 def ris_poly(c: RadicalCoeff) -> bool:
-    return not c[1] and c[2] == _ONE_DEN
+    return not c[1] and not c[2]
 
 
-def _common_rest(rest1: Poly, rest2: Poly, n: int):
-    """A common multiple of two monic rests and the cofactor of each.
-
-    When one rest divides the other the larger one serves, so sums over
-    powers of one factor do not multiply their degrees together.
+def _absorb(exps: dict, other: dict, n: int) -> Poly:
+    """Rewrite in exps the factors that other lacks over those that exps
+    lacks, and return the cofactor of the numerators: f**e joins the first
+    g**b that f**e, times what joined g before, divides, and g**b then
+    stands for all that joined it.
     """
-    if rest1 is rest2 or rest1 == rest2:
-        return rest1, _POLY_ONE, _POLY_ONE
-    if _is_one(rest1):
-        return rest2, rest2, _POLY_ONE
-    if _is_one(rest2):
-        return rest1, _POLY_ONE, rest1
-    q = pdivmod_exact(rest2, rest1, n + 1)
-    if q is not None:
-        return rest2, q, _POLY_ONE
-    q = pdivmod_exact(rest1, rest2, n + 1)
-    if q is not None:
-        return rest1, _POLY_ONE, q
-    return pmul(rest1, rest2), rest2, rest1
+    targets = [(g, b) for g, b in other.items() if g not in exps]
+    joined = {}  # g: (product of what joined g, g**b over that product)
+    for f, e in [(f, e) for f, e in exps.items() if f not in other]:
+        for g, b in targets:
+            p = pmul(joined.get(g, (_POLY_ONE,))[0], _expand([(f, e)]))
+            q = pdivmod_exact(_expand([(g, b)]), p, n + 1)
+            if q is not None:
+                joined[g] = (p, q)
+                del exps[f]
+                exps[g] = b
+                break
+    mult = _POLY_ONE
+    for _, q in joined.values():
+        mult = pmul(mult, q)
+    return mult
 
 
-def _common_denominator(u: RadicalCoeff, v: RadicalCoeff, n: int):
-    """Rewrite u, v over one factored denominator."""
-    a1, b1, d1 = u
-    a2, b2, d2 = v
-    if d1 is d2 or d1 == d2:
-        return a1, b1, a2, b2, d1
-    i1, j1, rest1 = d1
-    i2, j2, rest2 = d2
-    ii, jj = max(i1, i2), max(j1, j2)
-    rest, m1, m2 = _common_rest(rest1, rest2, n)
-    s1 = _times(_pow(n, ii - i1, jj - j1), m1)
-    s2 = _times(_pow(n, ii - i2, jj - j2), m2)
-    if not _is_one(s1):
-        a1, b1 = pmul(a1, s1), pmul(b1, s1)
-    if not _is_one(s2):
-        a2, b2 = pmul(a2, s2), pmul(b2, s2)
-    return a1, b1, a2, b2, _den(ii, jj, rest)
+def _add_plan(d1: Den, d2: Den, n: int):
+    """A common denominator of d1 and d2 and the cofactor of each.
+
+    Exponents take their maximum per factor, after ``_absorb`` has moved
+    each side's unmatched factors over a multiple on the other, so sums
+    over powers of one factor do not multiply their degrees together.
+    """
+    plan = _ADD_PLANS.get((d1, d2))
+    if plan is None:
+        e1, e2 = dict(d1), dict(d2)
+        m1 = _absorb(e1, e2, n)
+        m2 = _absorb(e2, e1, n)  # e1 as rewritten: no factor swaps sides
+        common = dict(e1)
+        for f, e in e2.items():
+            common[f] = max(common.get(f, 0), e)
+        plan = _ADD_PLANS[(d1, d2)] = (
+            tuple(sorted(common.items())),
+            pmul(m1, _expand((f, e - e1.get(f, 0)) for f, e in common.items())),
+            pmul(m2, _expand((f, e - e2.get(f, 0)) for f, e in common.items())))
+    return plan
 
 
 def radd(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    a1, b1, a2, b2, d = _common_denominator(u, v, n)
+    a1, b1, d = u
+    a2, b2, d2 = v
+    if d is not d2 and d != d2:
+        d, m1, m2 = _add_plan(d, d2, n)
+        if not _is_one(m1):
+            a1, b1 = pmul(a1, m1), pmul(b1, m1)
+        if not _is_one(m2):
+            a2, b2 = pmul(a2, m2), pmul(b2, m2)
     a, b = padd(a1, a2), padd(b1, b2)
     if not a and not b:
         return RZERO
@@ -292,22 +286,17 @@ def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
     else:
         num_a = padd(pmul(a1, a2), pmul(pmul(b1, b2), r_poly(n)))
         num_b = padd(pmul(a1, b2), pmul(b1, a2))
-    if d1 == _ONE_DEN:
-        return RadicalCoeff(num_a, num_b, d2)
-    if d2 == _ONE_DEN:
-        return RadicalCoeff(num_a, num_b, d1)
-    i1, j1, rest1 = d1
-    i2, j2, rest2 = d2
-    return RadicalCoeff(num_a, num_b,
-                        _den(i1 + i2, j1 + j2, _times(rest1, rest2)))
+    if not d1 or not d2:
+        return RadicalCoeff(num_a, num_b, d1 or d2)
+    exps = dict(d1)
+    for f, e in d2:
+        exps[f] = exps.get(f, 0) + e
+    return RadicalCoeff(num_a, num_b, tuple(sorted(exps.items())))
 
 
 def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
     """Cancel what the denominator of u shares with both numerators."""
-    den = u[2]
-    if den == _ONE_DEN:
-        return u
-    return _cancel(u[0], u[1], *den, n)
+    return _cancel(*u, n) if u[2] else u
 
 
 def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
@@ -360,48 +349,56 @@ def requal(u: RadicalCoeff, v: RadicalCoeff, n: int) -> bool:
     return pmul(a1, p2) == pmul(a2, p1) and pmul(b1, p2) == pmul(b2, p1)
 
 
+def _derive_plan(den: Den, index: int, n: int, with_s: bool):
+    """F, F*D'/D, F*(D'/D - x/rbar) and the denominator D*F for rderive.
+
+    F holds one power of each factor that depends on x = x_index, and of
+    rbar when with_s; each of their exponents rises by one in D*F.  The
+    factors are folded in one at a time, so F is never divided.
+    """
+    key = (den, index, n, with_s)
+    plan = _DERIVE_PLANS.get(key)
+    if plan is None:
+        x = pvar(index)
+        rbar = _freeze(rbar_poly(n)) if with_s else None
+        exps = dict(den)
+        if with_s:
+            exps.setdefault(rbar, 0)
+        big, ca, cb, new = _POLY_ONE, {}, {}, []
+        for f, e in sorted(exps.items()):
+            p = dict(f)
+            dp = pderive(p, index)
+            if dp:
+                g = pscale(dp, (e, 0, 1))
+                ca = padd(pmul(ca, p), pmul(g, big))
+                cb = padd(pmul(cb, p),
+                          pmul(psub(g, x) if f == rbar else g, big))
+                big = pmul(big, p)
+                e += 1
+            new.append((f, e))
+        plan = _DERIVE_PLANS[key] = (big, ca, cb, tuple(new))
+    return plan
+
+
 def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
     """d/dx_index by one chain rule over the factored denominator.
 
-    With D = rbar**i * q2**j * rest, D'/D = 2x(i/rbar + j/q2) + rest'/rest
-    and s'/s = x/rbar, so (A + B*s)/D has derivative
-    (A' + B'*s - A*D'/D + B*s*(x/rbar - D'/D))/D.  The result goes over D*F,
-    where F holds one power of each factor those terms divide by: rbar when
-    i or B is nonzero, q2 when j is, and rest when it depends on x_index
-    (the new rest is then rest*rest).  D is never built, and nothing is
-    divided back out before the one reduction of the result.
+    With D = prod f**e, D'/D = sum e*f'/f and s'/s = x/rbar, so
+    (A + B*s)/D has derivative (A' + B'*s - A*D'/D + B*s*(x/rbar - D'/D))/D,
+    which goes over D*F as in ``_derive_plan``.  Nothing is divided back out
+    before the one reduction of the result, so (x1 - x2)**k goes to
+    (x1 - x2)**(k + 1).
     """
     a, b, den = u
-    if not b and den == _ONE_DEN:
+    if not b and not den:
         da = pderive(a, index)
-        return RadicalCoeff(da, {}, _ONE_DEN) if da else RZERO
-    i, j, rest = den
-    x = pvar(index)
-    drest = pderive(rest, index)
-    # F's factors are folded in one at a time: big is their product so far,
-    # ca is big*D'/D and cb is big*(D'/D - x/rbar), over the factors so far.
-    need_r = 1 if i or b else 0
-    if need_r:
-        big = rbar_poly(n)
-        ca = pscale(x, (2 * i, 0, 1)) if i else {}
-        cb = pscale(x, (2 * i - 1, 0, 1))
-    else:
-        big, ca, cb = _POLY_ONE, {}, {}
-    factors = []
-    if j:
-        factors.append((q2_poly(n), pscale(x, (2 * j, 0, 1))))
-    if drest:
-        factors.append((rest, drest))
-    for factor, g in factors:
-        gbig = _times(g, big)
-        ca = padd(pmul(ca, factor), gbig) if ca else gbig
-        if b:
-            cb = padd(pmul(cb, factor), gbig)
-        big = _times(big, factor)
-    num_a = psub(_times(pderive(a, index), big), pmul(a, ca))
-    num_b = psub(_times(pderive(b, index), big), pmul(b, cb)) if b else {}
-    return _cancel(num_a, num_b, i + need_r, j + (1 if j else 0),
-                   pmul(rest, rest) if drest else rest, n)
+        return RadicalCoeff(da, {}, ()) if da else RZERO
+    big, ca, cb, new = _derive_plan(den, index, n, bool(b))
+    da, db = pderive(a, index), pderive(b, index)
+    if big is not _POLY_ONE:
+        da, db = pmul(da, big), pmul(db, big)
+    num_b = psub(db, pmul(b, cb)) if b else {}
+    return _cancel(psub(da, pmul(a, ca)), num_b, new, n)
 
 
 def rsubst_hbar_zero(u: RadicalCoeff, n: int) -> RadicalCoeff:

@@ -188,6 +188,20 @@ class TestPrintCanonical:
         assert print_canonical(got) == want
         assert evaluate(want, b).equals(got)
 
+    def test_repeated_derivative_raises_rest_power_by_one(self):
+        # the k-th x1-derivative of 1/(x1 - x2) used to be over
+        # (x1 - x2)**(2**k)
+        from starnambu.poly import pmul, psub, pvar
+        from starnambu.radical import rdenom
+        b = Binding(model=get_model("sphere:2"))
+        rest = psub(pvar(0), pvar(1))
+        want, text = rest, "1/(x1 - x2)"
+        for _ in range(4):
+            want, text = pmul(want, rest), f"diff({text}, x1)"
+            got = evaluate(text, b)
+            assert rdenom(got.terms[0], 2) == want, text
+            assert evaluate(print_canonical(got), b).equals(got)
+
     def test_roundtrip_100_random(self):
         rng = random.Random(73)
         b2 = Binding(dimension=2)

@@ -129,6 +129,16 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             x * x
 
+    def test_star_past_16_bit_exponents_raises(self):
+        # the hbar shift of the first-order term used to wrap hbar**65536
+        # around to 1, so this commutator returned -i
+        from starnambu import star, star_commutator
+        f = PhaseExpr.momentum(1, 0).times_hbar(65535)
+        x = PhaseExpr.coord(1, 0)
+        for product in (star, star_commutator):
+            with pytest.raises(DomainError):
+                product(f, x)
+
 
 class TestDifferentiate:
     def test_momentum_derivative(self):

@@ -6,7 +6,7 @@ import pytest
 from starnambu.gauss import QONE, qnorm
 from starnambu.poly import (PONE, pack, padd, pconst, pderive, pdivide_ihbar,
                             pdivmod_exact, pdrop_hbar, peval, phbar, plead,
-                            pmonic, pmul, pneg, pscale, pstr, psub, pvar,
+                            pmonic, pmul, pneg, pscale, psub, pvar,
                             unpack)
 
 
@@ -102,9 +102,12 @@ def test_eval_homomorphism():
 
 
 def test_printing_smoke():
+    from starnambu.lang import _poly_str
+    from starnambu.operators import ExactMatrix
     p = padd(pmul(pvar(0), pvar(0)), pneg(phbar(1, 1)))
-    text = pstr(p, 1)
-    assert "x1" in text and "hbar" in text
+    assert _poly_str(p, 1) == ("x1*x1 - hbar", False)
+    m = ExactMatrix.unit(2, 0, 1, phbar(0, 2))
+    assert repr(m) == "ExactMatrix(2, [0,1]=hbar*hbar)"
 
 
 def test_const_zero_is_empty():

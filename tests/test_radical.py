@@ -180,6 +180,8 @@ def test_derivative_matches_sympy():
 
     Values are compared at exact rational points of the sphere, where s may
     be negative, so sqrt(r) is replaced by a symbol for s before the x's.
+    Over the rest x1 - x2 the second derivative is checked as well, so a
+    factor at exponent 2 is differentiated.
     """
     sp = pytest.importorskip("sympy")
     rng = random.Random(29)
@@ -211,8 +213,7 @@ def test_derivative_matches_sympy():
                 expr = (a_sym + b_sym * sp.sqrt(r)) / (
                     (-r) ** i * (1 - r) ** j * rest_sym)
                 for index in range(n):
-                    want = sp.diff(expr, xs[index]).subs(sp.sqrt(r), s_sym)
-                    got = rderive(u, index, n)
+                    orders = 2 if rest is rests[0][0] else 1
                     pt = random_circle_point(n, rng)
                     vals = {v: sp.Rational(c.numerator, c.denominator)
                             for v, c in zip(xs, pt.xvals)}
@@ -220,9 +221,16 @@ def test_derivative_matches_sympy():
                         continue
                     vals[s_sym] = sp.Rational(pt.sval.numerator,
                                               pt.sval.denominator)
-                    re, im, d = reval(got, n, pt.xvals, pt.sval, Fraction(0))
-                    assert want.subs(vals) == sp.Rational(re, d) \
-                        + sp.I * sp.Rational(im, d), (n, i, j, index)
+                    got = u
+                    for order in range(1, orders + 1):
+                        want = sp.diff(expr, xs[index], order)
+                        want = want.subs(sp.sqrt(r), s_sym)
+                        got = rderive(got, index, n)
+                        re, im, d = reval(got, n, pt.xvals, pt.sval,
+                                          Fraction(0))
+                        assert want.subs(vals) == sp.Rational(re, d) \
+                            + sp.I * sp.Rational(im, d), (n, i, j, index,
+                                                          order)
 
 
 def test_hbar_division():

@@ -2,9 +2,8 @@
 
 After rmul, rmake and rderive, and in every output coefficient of star and
 star_commutator, a denominator factor that is still present does not
-divide both numerators: with D = rbar**i * q2**j * rest, i > 0
-means rbar does not divide both A and B, and j > 0 means q2 does not.
-n = 1 covers the reducible rbar = (x1 - 1)(x1 + 1).
+divide both numerators: no factor f of D, rbar and q2 included, divides
+both A and B.  n = 1 covers the reducible rbar = (x1 - 1)(x1 + 1).
 """
 
 import pytest
@@ -15,8 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from starnambu import PhaseExpr, star, star_commutator  # noqa: E402
 from starnambu.gauss import qnorm  # noqa: E402
 from starnambu.poly import PONE, pack, padd, pdivmod_exact, pmul  # noqa: E402
-from starnambu.radical import (RadicalCoeff, q2_poly, rbar_poly,  # noqa: E402
-                               rderive, requal, rmake, rmul)
+from starnambu.radical import (q2_poly, radd, rbar_poly, rderive,  # noqa: E402
+                               requal, rfrom_poly, rmake, rmul, rs_coeff)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -27,13 +26,10 @@ def _divides(factor, p, n):
 
 
 def assert_reduced(u, n):
-    a, b, (i, j, _) = u
-    if i > 0:
-        rb = rbar_poly(n)
-        assert not (_divides(rb, a, n) and _divides(rb, b, n)), u
-    if j > 0:
-        q2 = q2_poly(n)
-        assert not (_divides(q2, a, n) and _divides(q2, b, n)), u
+    a, b, den = u
+    for factor, _ in den:
+        f = dict(factor)
+        assert not (_divides(f, a, n) and _divides(f, b, n)), u
 
 
 def _power(p, k):
@@ -103,7 +99,9 @@ def test_rmake_leaves_no_removable_factor(data):
     a, b, den = data.draw(raw_parts(n))
     u = rmake(a, b, den, n)
     assert_reduced(u, n)
-    assert requal(u, RadicalCoeff(a, b, (0, 0, den)), n)
+    # u*den == a + b*s, checked without reading the representation
+    value = radd(rfrom_poly(a), rmul(rfrom_poly(b), rs_coeff(), n), n)
+    assert requal(rmul(u, rfrom_poly(den), n), value, n)
 
 
 @SETTINGS
