@@ -347,6 +347,10 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
     S groups the permutations by their first two entries, T(S) = sum over
     a < b of (-1)**(a + b - 1) T({a, b}) T(S - {a, b}), and an odd S
     takes T(S) = sum over j of (-1)**j x_j T(S - {j}) first.
+
+    ``fold`` refers to itself, a reference cycle that would keep ``memo``
+    and every T(S) in it alive until the cyclic collector runs; the
+    ``finally`` block breaks it on return.
     """
     k = len(entries)
     memo: Dict[int, Any] = {}
@@ -391,7 +395,11 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
             cache.put(ck, subset, val)
         return val
 
-    return fold((1 << k) - 1)
+    try:
+        return fold((1 << k) - 1)
+    finally:
+        memo.clear()
+        del fold
 
 
 def _product(entries, alg, signed: bool, naive: bool, cache, what: str):

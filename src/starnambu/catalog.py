@@ -841,8 +841,8 @@ def _run_qn_09(ctx: RunContext) -> CheckOutcome:
 
 def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
     from .poly import padd, pmul, pscale
-    lam1, lam2 = lz.rows[row][row], lz.rows[col][col]
-    rho1, rho2 = rz.rows[row][row], rz.rows[col][col]
+    lam1, lam2 = lz.entry(row, row), lz.entry(col, col)
+    rho1, rho2 = rz.entry(row, row), rz.entry(col, col)
     return padd(padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
                 padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
 

@@ -6,6 +6,11 @@ Realizations are integer-weight and non-unitary (holomorphic Fock sectors,
 Verma-style su(2) ladders): the verified statements are algebra identities,
 invariant under similarity, so unitary normalization would only introduce
 square roots without adding content.
+
+A matrix keeps only its nonzero entries, one ``{column: Poly}`` dict per
+row.  The Fock-sector and su(2) ladder matrices are banded or
+block-diagonal, so every operation walks the nonzeros instead of all d**2
+cells (d**3 index triples for a product).
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
-from .gauss import qpow_i
-from .poly import (PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar,
-                   psub)
+from .gauss import qis_zero, qpow_i
+from .poly import PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
@@ -30,32 +34,51 @@ def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
 
 class ExactMatrix:
     """Square matrix over the ring of hbar-polynomials with Gaussian
-    rational coefficients."""
+    rational coefficients.
 
-    __slots__ = ("dim", "rows")
+    Row i is one ``{column: Poly}`` dict that holds the nonzero entries of
+    the row only, so every operation walks the nonzeros: a product costs
+    one ``pmul`` per pair of nonzeros a[i][k], b[k][j].  Rows and entries
+    are shared between matrices and never mutated, so ``entry`` hands out
+    a copy.
+    """
+
+    __slots__ = ("dim", "_rows")
     __hash__ = None
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
-        self.rows = tuple(tuple(dict(e) for e in row) for row in rows)
-        self.dim = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.dim:
+        rows = [list(row) for row in rows]
+        dim = len(rows)
+        for row in rows:
+            if len(row) != dim:
                 raise DimensionError("matrix must be square")
+        self.dim = dim
+        self._rows = tuple({j: dict(e) for j, e in enumerate(row) if e}
+                           for row in rows)
+
+    @classmethod
+    def _of(cls, dim: int, rows) -> "ExactMatrix":
+        """Wrap sparse rows without copying; rows hold no zero entry."""
+        m = cls.__new__(cls)
+        m.dim = dim
+        m._rows = tuple(rows)
+        return m
 
     @classmethod
     def zeros(cls, dim: int) -> "ExactMatrix":
-        return cls([[{} for _ in range(dim)] for _ in range(dim)])
+        return cls._of(dim, ({} for _ in range(dim)))
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        return cls([[dict(PONE) if i == j else {} for j in range(dim)]
-                    for i in range(dim)])
+        return cls.diagonal([PONE] * dim)
 
     @classmethod
     def unit(cls, dim: int, i: int, j: int, entry: Optional[Poly] = None) -> "ExactMatrix":
-        m = [[{} for _ in range(dim)] for _ in range(dim)]
-        m[i][j] = dict(PONE) if entry is None else dict(entry)
-        return cls(m)
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise IndexError("matrix index out of range")
+        e = dict(PONE) if entry is None else dict(entry)
+        return cls._of(dim, ({j: e} if r == i and e else {}
+                             for r in range(dim)))
 
     @classmethod
     def from_int_rows(cls, rows: Sequence[Sequence[int]]) -> "ExactMatrix":
@@ -63,9 +86,8 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence[Poly]) -> "ExactMatrix":
-        d = len(entries)
-        return cls([[dict(entries[i]) if i == j else {} for j in range(d)]
-                    for i in range(d)])
+        return cls._of(len(entries), ({i: dict(e)} if e else {}
+                                      for i, e in enumerate(entries)))
 
     def _check(self, other: "ExactMatrix"):
         if self.dim != other.dim:
@@ -73,76 +95,95 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix([[padd(a, b) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return ExactMatrix._of(self.dim, (_row_sum(r1, r2, False) for r1, r2
+                                          in zip(self._rows, other._rows)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix([[psub(a, b) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return ExactMatrix._of(self.dim, (_row_sum(r1, r2, True) for r1, r2
+                                          in zip(self._rows, other._rows)))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[pneg(e) for e in row] for row in self.rows])
+        return ExactMatrix._of(self.dim, ({j: pneg(e) for j, e in row.items()}
+                                          for row in self._rows))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        d = self.dim
-        cols = [[other.rows[k][j] for k in range(d)] for j in range(d)]
+        brows = other._rows
         out = []
-        for i in range(d):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(d):
-                acc: Poly = {}
-                col = cols[j]
-                for k in range(d):
-                    a = row_i[k]
-                    if not a:
-                        continue
-                    b = col[k]
-                    if not b:
-                        continue
-                    acc = padd(acc, pmul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(out)
+        for row in self._rows:
+            acc: Dict[int, Poly] = {}
+            for k, a in row.items():
+                for j, b in brows[k].items():
+                    prod = pmul(a, b)
+                    prev = acc.get(j)
+                    acc[j] = prod if prev is None else padd(prev, prod)
+            out.append({j: e for j, e in acc.items() if e})
+        return ExactMatrix._of(self.dim, out)
 
     def scale(self, c) -> "ExactMatrix":
-        return ExactMatrix([[pscale(e, c) for e in row] for row in self.rows])
+        if qis_zero(c):
+            return ExactMatrix.zeros(self.dim)
+        return ExactMatrix._of(self.dim, ({j: pscale(e, c) for j, e in row.items()}
+                                          for row in self._rows))
 
     def scale_fraction(self, value) -> "ExactMatrix":
         f = Fraction(value)
         return self.scale((f.numerator, 0, f.denominator))
 
     def times_hbar(self, k: int = 1) -> "ExactMatrix":
-        return ExactMatrix([[pshift_hbar(e, 0, k) for e in row]
-                            for row in self.rows])
+        return ExactMatrix._of(self.dim, ({j: pshift_hbar(e, 0, k)
+                                           for j, e in row.items()}
+                                          for row in self._rows))
 
     def times_ihbar(self, k: int = 1) -> "ExactMatrix":
         c = qpow_i(k)
-        return ExactMatrix([[pscale(pshift_hbar(e, 0, k), c) for e in row]
-                            for row in self.rows])
+        return ExactMatrix._of(self.dim, ({j: pscale(pshift_hbar(e, 0, k), c)
+                                           for j, e in row.items()}
+                                          for row in self._rows))
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(self._rows)
 
     def __eq__(self, other):
         if isinstance(other, ExactMatrix):
-            return self.dim == other.dim and self.rows == other.rows
+            return self.dim == other.dim and self._rows == other._rows
         return NotImplemented
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError("matrix index out of range")
+        return dict(self._rows[i].get(j, {}))
 
     def __repr__(self):
         from .lang import _poly_str
-        cells = []
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if e:
-                    cells.append(f"[{i},{j}]={_poly_str(e, 0)[0]}")
+        cells = [f"[{i},{j}]={_poly_str(row[j], 0)[0]}"
+                 for i, row in enumerate(self._rows) for j in sorted(row)]
         body = ", ".join(cells) if cells else "0"
         return f"ExactMatrix({self.dim}, {body})"
+
+
+def _row_sum(r1: Dict[int, Poly], r2: Dict[int, Poly],
+             negate: bool) -> Dict[int, Poly]:
+    """r1 + r2, or r1 - r2 when negate, dropping entries that cancel."""
+    if not r2:
+        return r1
+    if not r1 and not negate:
+        return r2
+    out = dict(r1)
+    for j, b in r2.items():
+        if negate:
+            b = pneg(b)
+        a = out.get(j)
+        if a is None:
+            out[j] = b
+            continue
+        s = padd(a, b)
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    return out
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -156,32 +197,21 @@ def matrix_algebra(dim: int) -> AlgebraHandle:
 
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; (a x 1) commutes with (1 x b)."""
-    da, db = a.dim, b.dim
-    out = [[{} for _ in range(da * db)] for _ in range(da * db)]
-    for i in range(da):
-        for j in range(da):
-            e1 = a.rows[i][j]
-            if not e1:
-                continue
-            for k in range(db):
-                for l in range(db):
-                    e2 = b.rows[k][l]
-                    if e2:
-                        out[i * db + k][j * db + l] = pmul(e1, e2)
-    return ExactMatrix(out)
+    db = b.dim
+    out = []
+    for row_a in a._rows:
+        for row_b in b._rows:
+            out.append({j * db + l: pmul(e1, e2)
+                        for j, e1 in row_a.items() for l, e2 in row_b.items()})
+    return ExactMatrix._of(a.dim * db, out)
 
 
 def direct_sum(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    dim = sum(m.dim for m in mats)
-    out = [[{} for _ in range(dim)] for _ in range(dim)]
-    off = 0
+    out = []
     for m in mats:
-        for i in range(m.dim):
-            for j in range(m.dim):
-                if m.rows[i][j]:
-                    out[off + i][off + j] = dict(m.rows[i][j])
-        off += m.dim
-    return ExactMatrix(out)
+        off = len(out)
+        out.extend({off + j: e for j, e in row.items()} for row in m._rows)
+    return ExactMatrix._of(len(out), out)
 
 
 # -- oscillator sectors -------------------------------------------------
@@ -242,8 +272,7 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError("oscillator index out of range")
     stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
-    dim = stack.dim
-    rows = [[{} for _ in range(dim)] for _ in range(dim)]
+    rows: List[Dict[int, Poly]] = [{} for _ in range(stack.dim)]
     for col, state in enumerate(stack.states):
         mj = state[j - 1]
         if mj == 0:
@@ -253,7 +282,7 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
         target[i - 1] += 1
         row = stack.index[tuple(target)]
         rows[row][col] = _hbar_entry(1, mj)
-    return ExactMatrix(rows)
+    return ExactMatrix._of(stack.dim, rows)
 
 
 def total_number_matrix(n: int, total) -> ExactMatrix:
@@ -314,16 +343,12 @@ def su2_verma(two_j: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     if two_j < 0:
         raise DomainError("need a non-negative twice-spin")
     d = two_j + 1
-    lz = [[{} for _ in range(d)] for _ in range(d)]
-    lp = [[{} for _ in range(d)] for _ in range(d)]
-    lm = [[{} for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        lz[k][k] = _hbar_entry(1, two_j - 2 * k, 2)
-        if k + 1 < d:
-            lm[k + 1][k] = _hbar_entry(1, 1)
-        if k >= 1:
-            lp[k - 1][k] = _hbar_entry(1, k * (two_j + 1 - k))
-    return ExactMatrix(lp), ExactMatrix(lm), ExactMatrix(lz)
+    lz = ExactMatrix.diagonal([_hbar_entry(1, two_j - 2 * k, 2)
+                               for k in range(d)])
+    lm = [{k - 1: _hbar_entry(1, 1)} if k >= 1 else {} for k in range(d)]
+    lp = [{k + 1: _hbar_entry(1, (k + 1) * (two_j - k))} if k + 1 < d else {}
+          for k in range(d)]
+    return ExactMatrix._of(d, lp), ExactMatrix._of(d, lm), lz
 
 
 def su2_cartesian(two_j: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:

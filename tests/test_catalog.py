@@ -83,6 +83,16 @@ class TestRunner:
         assert [r.status for r in seq.results] == [r.status for r in par.results]
         assert [r.detail for r in seq.results] == [r.detail for r in par.results]
 
+    def test_jobs_stable_on_operator_entries(self):
+        """The exact-matrix entries on the runner's threads give the same
+        status and detail per id as run one after another."""
+        for glob in ("OS-*", "QN-1[01]"):
+            seq = run_suite(id_glob=glob, seed=0, jobs=1)
+            par = run_suite(id_glob=glob, seed=0, jobs=2)
+            assert [(r.id, r.status, r.detail) for r in seq.results] == \
+                [(r.id, r.status, r.detail) for r in par.results]
+            assert all(r.status == "pass" for r in seq.results), glob
+
 
 class TestNegativeControls:
     """Deliberately perturbed fixtures must fail with printable witnesses."""

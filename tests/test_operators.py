@@ -43,6 +43,14 @@ class TestMatrixRing:
         with pytest.raises(DimensionError):
             ExactMatrix.identity(2) + ExactMatrix.identity(3)
 
+    def test_entry_is_a_copy(self):
+        eye = ExactMatrix.identity(2)
+        total = eye + ExactMatrix.zeros(2)
+        total.entry(0, 0)[1] = (1, 0, 1)
+        assert eye == total == ExactMatrix.identity(2)
+        with pytest.raises(IndexError):
+            eye.entry(0, 2)
+
     def test_hbar_scaling(self):
         eye = ExactMatrix.identity(2)
         assert eye.times_ihbar(2) == eye.times_hbar(2).scale((-1, 0, 1))
@@ -58,7 +66,7 @@ class TestFock:
 
     def test_number_matrix_action(self):
         n12 = number_matrix(2, 1, 1, 2)
-        assert n12.rows[0][1] == {1: (1, 0, 1)}
+        assert n12.entry(0, 1) == {1: (1, 0, 1)}
         n11 = number_matrix(2, 1, 1, 1)
         assert n11 == ExactMatrix.diagonal([{1: (1, 0, 1)}, {}])
         with pytest.raises(DomainError):
@@ -178,8 +186,8 @@ class TestSu2:
         for row in range(d):
             for col in range(d):
                 f = ExactMatrix.unit(d, row, col)
-                lam1, lam2 = lz.rows[row][row], lz.rows[col][col]
-                rho1, rho2 = rz.rows[row][row], rz.rows[col][col]
+                lam1, lam2 = lz.entry(row, row), lz.entry(col, col)
+                rho1, rho2 = rz.entry(row, row), rz.entry(col, col)
                 sigma = padd(
                     padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
                     padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
