@@ -15,8 +15,20 @@ Coefficient products are summed unreduced and each output coefficient is
 reduced once.
 
 For g * f the same (alpha, beta) term appears with (-1)**|alpha| in place
-of (-1)**|beta|, so the star commutator f * g - g * f is the sum over the
-pairs with |alpha| + |beta| odd alone, each weighted 2 * (-1)**|beta|.
+of (-1)**|beta|.  The two signs differ when |alpha| + |beta| is odd and
+agree when it is even, so the star commutator f * g - g * f is the sum over
+the odd orders alone and the star anticommutator f * g + g * f the sum over
+the even orders alone, each term at 2 * (-1)**|beta|; the Jordan product
+(f * g + g * f)/2 is the even orders at weight 1.
+
+The k-products ``qnb`` and ``jordan`` fold their entries over argument
+subsets (``_pair_fold``): a pair is its commutator (anticommutator), four
+entries the signed sum of the anticommutators of their three matchings,
+and any other subset a signed sum of products of smaller ones.  The
+permutations behind each such product can be grouped with either factor
+first at the same sign, so every sum is symmetric under swapping the two
+factors of its terms, and each term may be the Jordan product, which sums
+only the even half of the star series.
 """
 
 from __future__ import annotations
@@ -101,16 +113,17 @@ def _star_tables(f: PhaseExpr, g: PhaseExpr):
     return f_orders, g_orders, fx, gx
 
 
-def _star_sum(f: PhaseExpr, g: PhaseExpr, commutator: bool) -> PhaseExpr:
-    """Sum the bidifferential series for f*g, or f*g - g*f if commutator.
+def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
+              weight: int, name: str) -> PhaseExpr:
+    """Sum the bidifferential series for f*g over the orders of one parity,
+    every order when parity is None, each term at weight times its f*g
+    weight.
 
     Products are accumulated unreduced and each output coefficient is
-    reduced once at the end.  The commutator keeps the odd-order pairs
-    only, each at twice its f*g weight.  A term of order k is shifted by
-    hbar**k, k at most the termination bound, so DomainError is raised
-    when the operands' top exponents and that bound pass MASK.
+    reduced once at the end.  A term of order k is shifted by hbar**k, k at
+    most the termination bound, so DomainError is raised when the operands'
+    top exponents and that bound pass MASK.
     """
-    name = "star commutator" if commutator else "star product"
     if f.n != g.n:
         raise DimensionError(f"{name} needs equal dimensions")
     n = f.n
@@ -128,13 +141,13 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, commutator: bool) -> PhaseExpr:
             ta = _total(alpha, n)
             k = ta + tb
             assert k <= bound, "star series exceeded its termination bound"
-            if commutator and k % 2 == 0:
+            if parity is not None and k % 2 != parity:
                 continue
             left = fb[alpha]
             right = gx[alpha][beta]
             if left.is_zero() or right.is_zero():
                 continue
-            num = (2 if commutator else 1) * (-1 if tb % 2 else 1)
+            num = -weight if tb % 2 else weight
             den = (1 << k) * _fact_key(alpha, n) * _fact_key(beta, n)
             scalar = qmul(qpow_i(k), (num, 0, den))
             # scaling a factor scales every product it enters
@@ -154,7 +167,7 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, commutator: bool) -> PhaseExpr:
 
 def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
     """Associative noncommutative star product; exact, terminating series."""
-    return _star_sum(f, g, commutator=False)
+    return _star_sum(f, g, None, 1, "star product")
 
 
 def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -165,7 +178,18 @@ def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
     signs agree when |alpha| + |beta| is even, so those terms cancel; the
     odd-order terms survive, each at 2 * (-1)**|beta| times its f*g weight.
     """
-    return _star_sum(f, g, commutator=True)
+    return _star_sum(f, g, 1, 2, "star commutator")
+
+
+def star_anticommutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
+    """f*g + g*f in one pass: the even-order terms of f*g at weight 2, by
+    the sign argument of ``star_commutator``."""
+    return _star_sum(f, g, 0, 2, "star anticommutator")
+
+
+def star_jordan(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
+    """The Jordan product (f*g + g*f)/2: the even-order terms of f*g."""
+    return _star_sum(f, g, 0, 1, "Jordan star product")
 
 
 def poisson(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -272,15 +296,26 @@ def symplectic_trace(entries: Sequence[PhaseExpr], n: Optional[int] = None) -> P
 
 @dataclass(frozen=True)
 class AlgebraHandle:
-    """An associative unital algebra the k-products can run over."""
+    """An associative unital algebra the k-products can run over.
+
+    ``commutator`` is a*b - b*a and ``anticommutator`` a*b + b*a.  ``sym``
+    is a symmetric product: a*b, b*a or a mean of the two, so that
+    sym(a, b) + sym(b, a) == a*b + b*a.  The fold only uses it in sums that
+    are symmetric under swapping its two factors, where any such product
+    gives the same total; the phase algebra passes the Jordan product,
+    which sums half the star series, and the matrix algebra its own ``*``.
+    """
 
     unit: Any
     mul: Callable[[Any, Any], Any]
     commutator: Callable[[Any, Any], Any]
+    anticommutator: Callable[[Any, Any], Any]
+    sym: Callable[[Any, Any], Any]
 
 
 def phase_algebra(n: int) -> AlgebraHandle:
-    return AlgebraHandle(PhaseExpr.one(n), star, star_commutator)
+    return AlgebraHandle(PhaseExpr.one(n), star, star_commutator,
+                         star_anticommutator, star_jordan)
 
 
 @dataclass
@@ -343,10 +378,21 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
     """T(S), the k-product of the entries in S in order, memoized over
     subsets S; a, b and j are 0-based positions in S.
 
-    A pair is its commutator (anticommutator when unsigned); a larger even
-    S groups the permutations by their first two entries, T(S) = sum over
-    a < b of (-1)**(a + b - 1) T({a, b}) T(S - {a, b}), and an odd S
-    takes T(S) = sum over j of (-1)**j x_j T(S - {j}) first.
+    Three rules, signed for qnb and with every sign + for jordan:
+    - A pair is its commutator (anticommutator when unsigned).
+    - Four entries are the sum over their three matchings,
+      {T01, T23} - {T02, T13} + {T03, T12}, where {X, Y} = X*Y + Y*X.
+    - A larger even S is the sum over a < b of
+      (-1)**(a + b - 1) sym(T({a, b}), T(S - {a, b})), and an odd S the
+      sum over j of (-1)**j sym(x_j, T(S - {j})).
+
+    Grouping the permutations of S by their first two entries gives
+    T({a, b}) T(S - {a, b}); grouping them by their last two gives
+    T(S - {a, b}) T({a, b}) with the same sign, since moving a pair past
+    the others is an even permutation.  So every term may be either order,
+    or their mean, which is what ``sym`` is; the same holds for one entry
+    x_j moved past the even number left in an odd S, and for the two
+    orders of a matching, which carry the same sign.
 
     ``fold`` refers to itself, a reference cycle that would keep ``memo``
     and every T(S) in it alive until the cyclic collector runs; the
@@ -375,18 +421,23 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
         elif m == 2:
             a, b = subset
             stats.products += 1 if signed else 2
-            val = alg.commutator(a, b) if signed else alg.mul(a, b) + alg.mul(b, a)
+            val = alg.commutator(a, b) if signed else alg.anticommutator(a, b)
         else:
+            op, cost = alg.sym, 1
             if m % 2:
                 terms = ((j, subset[j], fold(mask ^ bits[j])) for j in range(m))
+            elif m == 4:
+                op, cost = alg.anticommutator, 2
+                terms = ((j - 1, fold(bits[0] | bits[j]),
+                          fold(mask ^ bits[0] ^ bits[j])) for j in (1, 2, 3))
             else:
                 terms = ((a + b - 1, fold(bits[a] | bits[b]),
                           fold(mask ^ bits[a] ^ bits[b]))
                          for a, b in combinations(range(m), 2))
             val = None
             for parity, left, right in terms:
-                prod = alg.mul(left, right)
-                stats.products += 1
+                prod = op(left, right)
+                stats.products += cost
                 if signed and parity % 2:
                     prod = -prod
                 val = prod if val is None else val + prod

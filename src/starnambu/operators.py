@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
 from .gauss import qis_zero, qpow_i
-from .poly import PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
+from .poly import (BITS, MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale,
+                   pshift_hbar)
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
@@ -132,15 +133,21 @@ class ExactMatrix:
         return self.scale((f.numerator, 0, f.denominator))
 
     def times_hbar(self, k: int = 1) -> "ExactMatrix":
+        """Multiply by hbar**k; DomainError when k < 0 or an exponent
+        would pass MASK."""
+        if k < 0:
+            raise DomainError("negative powers of hbar")
+        top = max((max(e) for row in self._rows for e in row.values()),
+                  default=0)
+        if top + k > MASK:
+            raise DomainError(f"hbar degree {top + k} overflows {BITS} bits")
         return ExactMatrix._of(self.dim, ({j: pshift_hbar(e, 0, k)
                                            for j, e in row.items()}
                                           for row in self._rows))
 
     def times_ihbar(self, k: int = 1) -> "ExactMatrix":
-        c = qpow_i(k)
-        return ExactMatrix._of(self.dim, ({j: pscale(pshift_hbar(e, 0, k), c)
-                                           for j, e in row.items()}
-                                          for row in self._rows))
+        """Multiply by (i*hbar)**k, checked as ``times_hbar``."""
+        return self.times_hbar(k).scale(qpow_i(k))
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -190,9 +197,16 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
+def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return a * b + b * a
+
+
 def matrix_algebra(dim: int) -> AlgebraHandle:
-    return AlgebraHandle(ExactMatrix.identity(dim), lambda a, b: a * b,
-                         commutator)
+    """The matrix ring; its symmetric product is ``*`` itself, so a fold
+    makes the same matrix products whichever order it groups them in."""
+    mul = lambda a, b: a * b  # noqa: E731
+    return AlgebraHandle(ExactMatrix.identity(dim), mul, commutator,
+                         anticommutator, mul)
 
 
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

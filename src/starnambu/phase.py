@@ -162,7 +162,10 @@ class PhaseExpr:
         return self.scale((0, 1, 1))
 
     def times_ihbar(self, k: int = 1) -> "PhaseExpr":
-        """Multiply by (i*hbar)**k."""
+        """Multiply by (i*hbar)**k; DomainError when k < 0 or the hbar
+        degree would pass MASK."""
+        if k < 0:
+            raise DomainError("negative powers of i*hbar")
         n = self.n
         shift = BITS * n
         top = max((m >> shift for c in self.terms.values()

@@ -32,11 +32,11 @@ def _rows(full_report):
 
 
 def test_criterion_1_catalog_all_pass(full_report):
-    """Every catalog entry passes; six-bracket entries stay under 20 s."""
+    """Every catalog entry passes; six-bracket entries stay under 5 s."""
     rows = _rows(full_report)
     bad = [r.id for r in full_report.results if r.status != "pass"]
     total_ms = sum(r.elapsed_ms for r in full_report.results)
-    budgets_ok = all(rows[i].elapsed_ms < 20_000
+    budgets_ok = all(rows[i].elapsed_ms < 5_000
                      for i in ("QN-07", "QN-08", "QN-12", "QN-13"))
     ok = not bad and full_report.all_pass and budgets_ok and total_ms < 600_000
     print(f"  catalog: {len(full_report.results)} entries, "
@@ -44,7 +44,7 @@ def test_criterion_1_catalog_all_pass(full_report):
     for i in ("QN-07", "QN-08", "QN-12", "QN-13"):
         print(f"  {i}: {rows[i].elapsed_ms} ms")
     _report_line(ok, "1 (catalog all-pass, suite < 10 min, "
-                     "six-bracket entries < 20 s)")
+                     "six-bracket entries < 5 s)")
 
 
 def test_criterion_2_sphere_correction():

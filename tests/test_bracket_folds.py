@@ -3,8 +3,10 @@
 qnb and jordan resolve their entries into commutator (anticommutator)
 pairs; naive=True sums every permutation.  The two must agree exactly on
 random 3x3 integer matrices for k = 1..6 and on small PhaseExprs with
-n = 2 for k <= 4, signed and unsigned.  A bracket is checked alone and
+n = 2 for k <= 5, signed and unsigned.  A bracket is checked alone and
 with a SubsetCache shared with a second bracket that has the same tail.
+At k = 6 the phase fold is checked against the same fold over a handle
+built from ``star`` alone, and the even-order star sums against star.
 A finished fold must leave nothing for the cyclic garbage collector.
 """
 
@@ -16,7 +18,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from starnambu import PhaseExpr, SubsetCache, jordan, phase_algebra, qnb  # noqa: E402
+from starnambu import (AlgebraHandle, DomainError, PhaseExpr,  # noqa: E402
+                       SubsetCache, jordan, phase_algebra, qnb, star,
+                       star_anticommutator, star_jordan)
 from starnambu.operators import (ExactMatrix, SectorStack,  # noqa: E402
                                  matrix_algebra, oscillator_bracket_entries,
                                  random_sector_matrix)
@@ -34,17 +38,21 @@ def matrices():
 
 
 @st.composite
-def phase_exprs(draw):
-    """Up to three terms c * x_a**e * p_b**f, each times s or not."""
+def phase_exprs(draw, max_terms=3, max_p=1, poles=False):
+    """Up to max_terms terms c * x_a**e * p_b**f, f <= max_p, each times s
+    or not and, when poles, times 1/(x1 - x2) or not."""
+    pole = (PhaseExpr.coord(N, 0) - PhaseExpr.coord(N, 1)).invert_coefficient()
     out = PhaseExpr.zero(N)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_terms))):
         term = PhaseExpr.const(N, draw(st.integers(-3, 3)))
         term = term * PhaseExpr.coord(N, draw(st.integers(0, N - 1))) \
             ** draw(st.integers(0, 2))
         term = term * PhaseExpr.momentum(N, draw(st.integers(0, N - 1))) \
-            ** draw(st.integers(0, 1))
+            ** draw(st.integers(0, max_p))
         if draw(st.booleans()):
             term = term * PhaseExpr.radical_s(N)
+        if poles and draw(st.booleans()):
+            term = term * pole
         out = out + term
     return out
 
@@ -74,13 +82,49 @@ def test_matrix_products_match_naive(k, data, shared):
                         shared)
 
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 6))
 @SETTINGS
 @given(data=st.data(), shared=st.booleans())
 def test_phase_products_match_naive(k, data, shared):
-    entries = data.draw(st.lists(phase_exprs(), min_size=k, max_size=k))
-    check_against_naive(entries, data.draw(phase_exprs()), phase_algebra(N),
-                        shared)
+    # the naive sum makes (k - 1) * k! star products: keep k = 5 small
+    terms = phase_exprs(max_terms=3 if k < 5 else 2)
+    entries = data.draw(st.lists(terms, min_size=k, max_size=k))
+    check_against_naive(entries, data.draw(terms), phase_algebra(N), shared)
+
+
+def star_only_algebra(n):
+    """The phase algebra with every product a plain star product."""
+    return AlgebraHandle(PhaseExpr.one(n), star,
+                         lambda a, b: star(a, b) - star(b, a),
+                         lambda a, b: star(a, b) + star(b, a), star)
+
+
+@SETTINGS
+@given(entries=st.lists(phase_exprs(max_terms=2), min_size=6, max_size=6))
+def test_phase_six_products_match_star_only_fold(entries):
+    alg, oracle = phase_algebra(N), star_only_algebra(N)
+    assert qnb(entries, alg).value.equals(qnb(entries, oracle).value)
+    assert jordan(entries, alg).value.equals(jordan(entries, oracle).value)
+
+
+@SETTINGS
+@given(f=phase_exprs(max_p=2, poles=True), g=phase_exprs(max_p=2, poles=True))
+def test_even_order_star_sums(f, g):
+    """The anticommutator is f*g + g*f and twice the Jordan product."""
+    anti = star_anticommutator(f, g)
+    assert anti.equals(star(f, g) + star(g, f))
+    assert anti.equals(star_jordan(f, g).scale_fraction(2))
+
+
+def test_even_order_star_sums_past_16_bit_exponents_raise():
+    # the second-order term of p1**2 hbar**65534 and x1**2 is shifted by
+    # hbar**65536, one past the 16-bit field
+    f = PhaseExpr.momentum(1, 0).times_hbar(65534) \
+        * PhaseExpr.momentum(1, 0)
+    x = PhaseExpr.coord(1, 0) * PhaseExpr.coord(1, 0)
+    for product in (star_anticommutator, star_jordan):
+        with pytest.raises(DomainError):
+            product(f, x)
 
 
 def test_fold_leaves_no_cyclic_garbage():

@@ -55,6 +55,26 @@ class TestMatrixRing:
         eye = ExactMatrix.identity(2)
         assert eye.times_ihbar(2) == eye.times_hbar(2).scale((-1, 0, 1))
 
+    def test_negative_hbar_power_raises(self):
+        # times_hbar(-1) used to store the entry {-1: 1}, printed as hbar
+        # multiplied by itself 65535 times
+        eye = ExactMatrix.identity(2)
+        for shift in (eye.times_hbar, eye.times_ihbar):
+            with pytest.raises(DomainError):
+                shift(-1)
+
+    def test_hbar_degree_past_16_bits_raises(self):
+        # times_hbar(70000) used to store the key 70000, past the field
+        eye = ExactMatrix.identity(2)
+        top = eye.times_hbar(65535)
+        assert top.entry(1, 1) == {65535: (1, 0, 1)}
+        for shift in (eye.times_hbar, eye.times_ihbar):
+            with pytest.raises(DomainError):
+                shift(70000)
+        with pytest.raises(DomainError):
+            top.times_hbar(1)
+        assert ExactMatrix.zeros(2).times_hbar(65535).is_zero()
+
 
 class TestFock:
     def test_basis_ordering(self):

@@ -210,6 +210,15 @@ class TestHbar:
         top = PhaseExpr.one(2).times_hbar(65535)
         assert top.equals(PhaseExpr.hbar(2, 65535))
 
+    def test_negative_hbar_power_raises(self):
+        # times_ihbar(-1) used to shift x2 into a key of -4294901760, whose
+        # printout was a 320 KB chain of hbar factors
+        x2 = PhaseExpr.coord(2, 1)
+        for shift in (x2.times_ihbar, x2.times_hbar):
+            with pytest.raises(DomainError):
+                shift(-1)
+        assert x2.times_ihbar(0).equals(x2)
+
 
 class TestEvaluate:
     def test_spec_values(self):
