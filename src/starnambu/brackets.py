@@ -11,8 +11,18 @@ The star product is evaluated through the factorized bidifferential form
 whose terms are exactly the merged ordered pairs produced by iterating the
 Poisson bidifferential; alpha is bounded by the momentum support of g and
 beta by that of f, so the series terminates at deg_p(f) + deg_p(g).
-Coefficient products are summed unreduced and each output coefficient is
-reduced once.
+
+The weight splits into one factor per operand (the one-sided split of the
+Moyal exponential).  With the half table
+
+    H_f[beta] = (i*hbar/2)**|beta| / beta! * d_p^beta f,
+
+the (alpha, beta) term is (-1)**|beta| * d_x^alpha H_f[beta] *
+d_x^beta H_g[alpha].  Each operand builds its half table once and keeps it,
+so every star sum it enters, in either order, reuses the same momentum
+chain; x-derivatives of an entry are taken only when a term asks for them,
+and left unreduced.  Coefficient products are summed raw, with s**2 = r
+applied and the result reduced once per output coefficient.
 
 For g * f the same (alpha, beta) term appears with (-1)**|alpha| in place
 of (-1)**|beta|.  The two signs differ when |alpha| + |beta| is odd and
@@ -35,82 +45,87 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import factorial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, DimensionError, DomainError
-from .gauss import qmul, qpow_i
 from .phase import PhaseExpr
 from .poly import BITS, MASK, pscale, pshift_hbar
-from .radical import RadicalCoeff, radd, ris_zero, rmul_raw, rreduce
+from .radical import RadicalCoeff, racc, rderive_raw, rsums
 
 
 # -- star product ------------------------------------------------------
 
 
-def _p_chain(f: PhaseExpr) -> Dict[int, PhaseExpr]:
-    """All nonzero iterated momentum derivatives, keyed by packed order."""
-    out = {0: f}
-    frontier = [0]
+def _p_step(h: PhaseExpr, a: int, order: int) -> PhaseExpr:
+    """(i*hbar/2)/order * d/dp_a h: the next entry of a half table, where
+    order is the new momentum order in p_a.  Distinct terms of h land on
+    distinct keys, so nothing is summed."""
+    n = h.n
+    shift = BITS * a
+    out = {}
+    for key, (na, nb, d) in h.terms.items():
+        e = (key >> shift) & MASK
+        if e:
+            c = (0, e, 2 * order)
+            out[key - (1 << shift)] = RadicalCoeff(
+                pscale(pshift_hbar(na, n, 1), c),
+                pscale(pshift_hbar(nb, n, 1), c), d)
+    return PhaseExpr(n, out)
+
+
+def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
+    """f's half table, built once and cached on f.
+
+    One row (beta, |beta|, xs) per nonzero H_f[beta] =
+    (i*hbar/2)**|beta| / beta! * d_p^beta f, where xs maps an x-order alpha
+    to d_x^alpha H_f[beta] as ``_xder`` fills it in.  xs[0] is H_f[beta]
+    itself, except in the row of order 0, whose entry f is not stored on
+    f: that would be a reference cycle.
+    """
+    cache = f._dcache
+    if cache is None:
+        cache = f._dcache = {}
+    table = cache.get("half")
+    if table is not None:
+        return table
     n = f.n
-    while frontier:
-        nxt = []
-        for key in frontier:
-            base = out[key]
-            for a in range(n):
-                k2 = key + (1 << (BITS * a))
-                if k2 in out:
-                    continue
-                d = base.diff_p(a)
-                if d.is_zero():
-                    continue
-                out[k2] = d
-                nxt.append(k2)
-        frontier = nxt
-    return out
-
-
-def _total(key: int, n: int) -> int:
-    t = 0
-    for i in range(n):
-        t += (key >> (BITS * i)) & MASK
-    return t
-
-
-def _fact_key(key: int, n: int) -> int:
-    f = 1
-    for i in range(n):
-        e = (key >> (BITS * i)) & MASK
-        if e > 1:
-            f *= factorial(e)
-    return f
-
-
-def _x_chain(base: PhaseExpr, keys_sorted: Sequence[int], n: int) -> Dict[int, PhaseExpr]:
-    """Iterated x-derivatives of base for every key in a downset."""
-    table = {0: base}
-    for key in keys_sorted:
-        if key == 0:
-            continue
+    table = [(0, 0, {})]
+    entries = {0: f}
+    for beta, total, _ in table:  # grows while it is walked, by order
+        h = entries[beta]
         for a in range(n):
-            if (key >> (BITS * a)) & MASK:
-                table[key] = table[key - (1 << (BITS * a))].diff_x(a)
-                break
+            step = 1 << (BITS * a)
+            if beta + step in entries:
+                continue
+            d = _p_step(h, a, ((beta >> (BITS * a)) & MASK) + 1)
+            if not d.is_zero():
+                entries[beta + step] = d
+                table.append((beta + step, total + 1, {0: d}))
+    cache["half"] = table
     return table
 
 
-def _star_tables(f: PhaseExpr, g: PhaseExpr):
-    """Derivative tables shared by f*g and g*f."""
-    n = f.n
-    fp = _p_chain(f)
-    gp = _p_chain(g)
-    f_orders = sorted(fp, key=lambda k: _total(k, n))
-    g_orders = sorted(gp, key=lambda k: _total(k, n))
-    # x-derivatives of d_p^beta f over every alpha in g's downset, and
-    # x-derivatives of d_p^alpha g over every beta in f's downset.
-    fx = {beta: _x_chain(fp[beta], g_orders, n) for beta in f_orders}
-    gx = {alpha: _x_chain(gp[alpha], f_orders, n) for alpha in g_orders}
-    return f_orders, g_orders, fx, gx
+def _xder(xs: Dict[int, PhaseExpr], alpha: int, f: PhaseExpr) -> PhaseExpr:
+    """d_x^alpha of a half-table entry, memoized in its row xs; f stands in
+    for the missing xs[0] of the order-0 row.
+
+    Coefficients are left unreduced (``rderive_raw``): the star sum reduces
+    each output coefficient once.  An order is reached from the one below
+    it in its lowest variable, so every step on the way is kept in xs.
+    """
+    got = xs.get(alpha)
+    if got is not None:
+        return got
+    if not alpha:
+        return f
+    a = 0
+    while not (alpha >> (BITS * a)) & MASK:
+        a += 1
+    h = _xder(xs, alpha - (1 << (BITS * a)), f)
+    n = h.n
+    got = xs[alpha] = PhaseExpr(n, {k: rderive_raw(c, a, n)
+                                    for k, c in h.terms.items()})
+    return got
 
 
 def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
@@ -119,10 +134,13 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
     every order when parity is None, each term at weight times its f*g
     weight.
 
-    Products are accumulated unreduced and each output coefficient is
-    reduced once at the end.  A term of order k is shifted by hbar**k, k at
-    most the termination bound, so DomainError is raised when the operands'
-    top exponents and that bound pass MASK.
+    The (alpha, beta) term is (-1)**|beta| d_x^alpha H_f[beta] *
+    d_x^beta H_g[alpha] over the half tables of f and g.  The sign picks
+    one of two raw sums, and each output coefficient is scaled by weight,
+    multiplied by r and reduced once (``radical.rsums``).  A term of order
+    k is shifted by hbar**k, k at most the termination bound, so
+    DomainError is raised when the operands' top hbar exponents and that
+    bound, or their tops in any other field, pass MASK.
     """
     if f.n != g.n:
         raise DimensionError(f"{name} needs equal dimensions")
@@ -130,39 +148,28 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
     if f.is_zero() or g.is_zero():
         return PhaseExpr.zero(n)
     bound = f.momentum_degree() + g.momentum_degree()
-    if f._top() + g._top() + bound > MASK:
+    tf, tg = f._tops(), g._tops()
+    if tf[n] + tg[n] + bound > MASK or \
+            any(a + b > MASK for a, b in zip(tf, tg)):
         raise DomainError(f"{name} overflows {BITS}-bit exponents")
-    f_orders, g_orders, fx, gx = _star_tables(f, g)
-    acc: Dict[int, Any] = {}
-    for beta in f_orders:
-        tb = _total(beta, n)
-        fb = fx[beta]
-        for alpha in g_orders:
-            ta = _total(alpha, n)
-            k = ta + tb
-            assert k <= bound, "star series exceeded its termination bound"
-            if parity is not None and k % 2 != parity:
+    gh = _half(g)
+    pos: Dict[int, tuple] = {}
+    neg: Dict[int, tuple] = {}
+    for beta, tb, fxs in _half(f):
+        acc = neg if tb % 2 else pos
+        for alpha, ta, gxs in gh:
+            if parity is not None and (ta + tb) % 2 != parity:
                 continue
-            left = fb[alpha]
-            right = gx[alpha][beta]
-            if left.is_zero() or right.is_zero():
+            left = _xder(fxs, alpha, f)
+            if left.is_zero():
                 continue
-            num = -weight if tb % 2 else weight
-            den = (1 << k) * _fact_key(alpha, n) * _fact_key(beta, n)
-            scalar = qmul(qpow_i(k), (num, 0, den))
-            # scaling a factor scales every product it enters
-            scaled = [(k1, RadicalCoeff(pscale(pshift_hbar(a, n, k), scalar),
-                                        pscale(pshift_hbar(b, n, k), scalar),
-                                        d))
-                      for k1, (a, b, d) in left.terms.items()]
+            right = _xder(gxs, beta, g)
+            if right.is_zero():
+                continue
             for k2, c2 in right.terms.items():
-                for k1, c1 in scaled:
-                    key = k1 + k2
-                    c = rmul_raw(c1, c2, n)
-                    prev = acc.get(key)
-                    acc[key] = c if prev is None else radd(prev, c, n)
-    return PhaseExpr(n, {key: rreduce(c, n) for key, c in acc.items()
-                         if not ris_zero(c)})
+                for k1, c1 in left.terms.items():
+                    racc(acc, k1 + k2, c1, c2, n)
+    return PhaseExpr(n, rsums(pos, neg, weight, n))
 
 
 def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -171,7 +178,7 @@ def star(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
 
 
 def star_commutator(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
-    """f*g - g*f in one pass over one set of derivative tables.
+    """f*g - g*f in one pass over the operands' half tables.
 
     Coefficient products commute, so g*f has the same (alpha, beta) terms
     as f*g with the sign (-1)**|beta| turned into (-1)**|alpha|.  The two
@@ -238,12 +245,15 @@ def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     memo: Dict[Tuple[int, int], PhaseExpr] = {}
 
     def minor(i: int, mask: int) -> PhaseExpr:
+        """The Laplace expansion along row i over the columns in mask; its
+        products are summed raw and each coefficient is reduced once."""
         if i == m:
             return PhaseExpr.one(n)
         got = memo.get((i, mask))
         if got is not None:
             return got
-        total = PhaseExpr.zero(n)
+        pos: Dict[int, tuple] = {}
+        neg: Dict[int, tuple] = {}
         sign = 1
         for j in range(m):
             bit = 1 << j
@@ -253,13 +263,21 @@ def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
             if not a.is_zero():
                 sub = minor(i + 1, mask & ~bit)
                 if not sub.is_zero():
-                    term = a * sub
-                    total = total + term if sign > 0 else total - term
+                    if a._top() + sub._top() > MASK:
+                        raise DomainError(
+                            f"product overflows {BITS}-bit exponents")
+                    acc = pos if sign > 0 else neg
+                    for k1, c1 in a.terms.items():
+                        for k2, c2 in sub.terms.items():
+                            racc(acc, k1 + k2, c1, c2, n)
             sign = -sign
-        memo[(i, mask)] = total
+        total = memo[(i, mask)] = PhaseExpr(n, rsums(pos, neg, 1, n))
         return total
 
-    return minor(0, (1 << m) - 1)
+    try:
+        return minor(0, (1 << m) - 1)
+    finally:
+        del minor  # minor refers to itself: free memo now, not at the next gc
 
 
 def symplectic_trace(entries: Sequence[PhaseExpr], n: Optional[int] = None) -> PhaseExpr:

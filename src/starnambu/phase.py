@@ -25,9 +25,9 @@ from .radical import (RadicalCoeff, RZERO, radd, rderive, rdivide_ihbar,
 class PhaseExpr:
     """Exact phase-space function: momenta with radical-field coefficients.
 
-    Values are immutable; repeated partial derivatives are memoized per
-    instance since bracket evaluations differentiate the same operands
-    many times.
+    Values are immutable; repeated partial derivatives, and the star
+    product's half table (``brackets._half``), are memoized per instance
+    since bracket evaluations differentiate the same operands many times.
     """
 
     __slots__ = ("n", "terms", "_dcache", "_topc")
@@ -191,25 +191,36 @@ class PhaseExpr:
     def _top(self) -> int:
         """The largest exponent one factor of self adds to any packed field,
         so a product overflows no field while the factors' tops sum to at
-        most MASK.  Computed once per value.
+        most MASK."""
+        return max(self._tops())
+
+    def _tops(self) -> Tuple[int, ...]:
+        """The largest exponent one factor of self adds to each packed
+        field: x_1..x_n and hbar of the coefficients, then p_1..p_n.
+        Computed once per value.
 
         s counts as degree 1 in each x, since s**2 = 1 - q**2, and the
         denominator through its polynomial, cached per value by ``rdenom``.
         """
         if self._topc is None:
-            shift = BITS * self.n
-            fields = range(0, shift, BITS)
-            top = 0
+            n = self.n
+            shift = BITS * n
+            tops = [0] * (2 * n + 1)
             for key, c in self.terms.items():
-                for monos, extra in (((key,), 0), (c[0], 0), (c[1], 1),
-                                     (rdenom(c, self.n), 0)):
+                for i in range(n):
+                    e = (key >> (BITS * i)) & MASK
+                    if e > tops[n + 1 + i]:
+                        tops[n + 1 + i] = e
+                for monos, extra in ((c[0], 0), (c[1], 1),
+                                     (rdenom(c, n), 0)):
                     for m in monos:
-                        if m >> shift > top:
-                            top = m >> shift
-                        for f in fields:
-                            if ((m >> f) & MASK) + extra > top:
-                                top = ((m >> f) & MASK) + extra
-            self._topc = top
+                        if m >> shift > tops[n]:
+                            tops[n] = m >> shift
+                        for i in range(n):
+                            e = ((m >> (BITS * i)) & MASK) + extra
+                            if e > tops[i]:
+                                tops[i] = e
+            self._topc = tuple(tops)
         return self._topc
 
     def invert_coefficient(self) -> "PhaseExpr":

@@ -8,9 +8,10 @@ denominator into powers of rbar = q**2 - 1 (the monic associate of
 1 - q**2), powers of q2 = sum x_i**2 and one remaining factor; after that
 every operation is exponent bookkeeping over the tuple.  The polynomial D is
 built only by ``rdenom``, cached by value.  ``rmul``, ``rmake`` and
-``rderive`` reduce their result; ``rmul_raw`` does not, so a star sum
-accumulates raw products and reduces each output coefficient once with
-``rreduce``.  Sums are not reduced.  Equality is decided by
+``rderive`` reduce their result; ``rderive_raw`` does not.
+A sum of many products (a star sum, a Jacobian minor) is accumulated raw
+with ``racc``, and ``rsums`` applies s**2 = r and reduces once per
+coefficient.  Sums are not reduced.  Equality is decided by
 cross-multiplication, so reduction affects performance and printed form
 only.  Cancellation is decided by exact trial division alone, the s-part
 first.
@@ -276,8 +277,8 @@ def rneg(u: RadicalCoeff) -> RadicalCoeff:
     return RadicalCoeff(pneg(u[0]), pneg(u[1]), u[2])
 
 
-def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    """The product u*v with its denominator exponents added, unreduced."""
+def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    """The product u*v, denominator exponents added, reduced once."""
     a1, b1, d1 = u
     a2, b2, d2 = v
     if not b1 and not b2:
@@ -286,12 +287,17 @@ def rmul_raw(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
     else:
         num_a = padd(pmul(a1, a2), pmul(pmul(b1, b2), r_poly(n)))
         num_b = padd(pmul(a1, b2), pmul(b1, a2))
+    return rreduce(RadicalCoeff(num_a, num_b, _den_mul(d1, d2)), n)
+
+
+def _den_mul(d1: Den, d2: Den) -> Den:
+    """The denominator of a product: exponents added per factor."""
     if not d1 or not d2:
-        return RadicalCoeff(num_a, num_b, d1 or d2)
+        return d1 or d2
     exps = dict(d1)
     for f, e in d2:
         exps[f] = exps.get(f, 0) + e
-    return RadicalCoeff(num_a, num_b, tuple(sorted(exps.items())))
+    return tuple(sorted(exps.items()))
 
 
 def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
@@ -299,8 +305,66 @@ def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
     return _cancel(*u, n) if u[2] else u
 
 
-def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    return rreduce(rmul_raw(u, v, n), n)
+# -- raw sums of products ------------------------------------------------
+#
+# A raw sum of products u*v is held per key as (aa, bb, ab, den): the sums
+# of a1*a2, of b1*b2 and of a1*b2 + b1*a2 over one denominator.  Its value
+# is (aa + bb*r + ab*s)/den, so s**2 = r costs one multiplication per key
+# rather than one per product, and the key is reduced once.
+
+
+def _plus(f: Poly, g: Poly) -> Poly:
+    """f + g, or either operand itself when the other is zero."""
+    if not g:
+        return f
+    if not f:
+        return g
+    return padd(f, g)
+
+
+def _merge(x: tuple, y: tuple, n: int) -> tuple:
+    """The sum of two raw sums, over radd's common denominator."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    if d1 is not d2 and d1 != d2:
+        d1, m1, m2 = _add_plan(d1, d2, n)
+        if not _is_one(m1):
+            a1, b1, c1 = pmul(a1, m1), pmul(b1, m1), pmul(c1, m1)
+        if not _is_one(m2):
+            a2, b2, c2 = pmul(a2, m2), pmul(b2, m2), pmul(c2, m2)
+    return _plus(a1, a2), _plus(b1, b2), _plus(c1, c2), d1
+
+
+def racc(acc: dict, key, u: RadicalCoeff, v: RadicalCoeff, n: int) -> None:
+    """Add the product u*v to the raw sum acc[key]."""
+    a1, b1, d1 = u
+    a2, b2, d2 = v
+    ab = pmul(a1, b2) if b2 else {}
+    if b1:
+        ab = _plus(ab, pmul(b1, a2))
+    term = (pmul(a1, a2), pmul(b1, b2) if b1 and b2 else {}, ab,
+            _den_mul(d1, d2))
+    prev = acc.get(key)
+    acc[key] = term if prev is None else _merge(prev, term, n)
+
+
+def rsums(pos: dict, neg: dict, weight: int, n: int) -> dict:
+    """weight * (pos - neg) per key, as reduced coefficients."""
+    sums = dict(pos)
+    for key, (aa, bb, ab, d) in neg.items():
+        term = (pneg(aa), pneg(bb), pneg(ab), d)
+        prev = sums.get(key)
+        sums[key] = term if prev is None else _merge(prev, term, n)
+    r = r_poly(n)
+    out = {}
+    for key, (aa, bb, ab, d) in sums.items():
+        a = _plus(aa, pmul(bb, r))
+        if not a and not ab:
+            continue
+        if weight != 1:
+            a, ab = pscale(a, (weight, 0, 1)), pscale(ab, (weight, 0, 1))
+        out[key] = _cancel(a, ab, d, n) if d else RadicalCoeff(a, ab, d)
+    return out
 
 
 def rscale(u: RadicalCoeff, c) -> RadicalCoeff:
@@ -380,14 +444,13 @@ def _derive_plan(den: Den, index: int, n: int, with_s: bool):
     return plan
 
 
-def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
-    """d/dx_index by one chain rule over the factored denominator.
+def rderive_raw(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
+    """d/dx_index by one chain rule over the factored denominator, unreduced.
 
     With D = prod f**e, D'/D = sum e*f'/f and s'/s = x/rbar, so
     (A + B*s)/D has derivative (A' + B'*s - A*D'/D + B*s*(x/rbar - D'/D))/D,
-    which goes over D*F as in ``_derive_plan``.  Nothing is divided back out
-    before the one reduction of the result, so (x1 - x2)**k goes to
-    (x1 - x2)**(k + 1).
+    which goes over D*F as in ``_derive_plan``.  Nothing is divided back
+    out, so (x1 - x2)**k goes to (x1 - x2)**(k + 1).
     """
     a, b, den = u
     if not b and not den:
@@ -397,8 +460,16 @@ def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
     da, db = pderive(a, index), pderive(b, index)
     if big is not _POLY_ONE:
         da, db = pmul(da, big), pmul(db, big)
+    num_a = psub(da, pmul(a, ca))
     num_b = psub(db, pmul(b, cb)) if b else {}
-    return _cancel(psub(da, pmul(a, ca)), num_b, new, n)
+    if not num_a and not num_b:
+        return RZERO
+    return RadicalCoeff(num_a, num_b, new)
+
+
+def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
+    """d/dx_index, reduced once (``rderive_raw``, then ``rreduce``)."""
+    return rreduce(rderive_raw(u, index, n), n)
 
 
 def rsubst_hbar_zero(u: RadicalCoeff, n: int) -> RadicalCoeff:

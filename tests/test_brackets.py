@@ -1,14 +1,17 @@
+import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from starnambu import (ArityError, DimensionError, PhaseExpr, SubsetCache,
-                       jordan, moyal, nambu_jacobian, phase_algebra, poisson,
-                       qnb, resolve_qnb4, star, star_commutator,
-                       symplectic_trace)
+from starnambu import (ArityError, DimensionError, DomainError, PhaseExpr,
+                       SubsetCache, jordan, moyal, nambu_jacobian,
+                       phase_algebra, poisson, qnb, resolve_qnb4, star,
+                       star_commutator, star_jordan, symplectic_trace)
 from starnambu.models import get_model
 from starnambu.operators import ExactMatrix, matrix_algebra, naive_bracket
+from starnambu.phase import random_circle_point
 from tests.test_phase import rand_expr
 
 
@@ -80,7 +83,7 @@ class TestStar:
         assert (m.h_quantum - m.h_classical).equals(want)
 
     def test_termination_bound(self):
-        # the series assert inside the loop guards the bound; degrees add
+        # the series stops at the sum of the momentum degrees
         x, px, one, s = basics()
         f = (px ** 3) * x
         g = (px ** 2) * s
@@ -130,6 +133,111 @@ class TestStar:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             star(PhaseExpr.coord(2, 0), PhaseExpr.coord(3, 0))
+
+    def test_half_tables_do_not_depend_on_the_product_that_built_them(self):
+        """Each operand caches one half table for every star sum it enters:
+        the same values come out whichever product builds it first."""
+        for n in (1, 2):
+            for i, d in enumerate([PhaseExpr.w_function(n)]
+                                  + plain_denominators(n)):
+                def operands():
+                    rng = random.Random(38 + 10 * n + i)
+                    return (rand_expr(n, rng, pdeg=2, terms=3) * d,
+                            rand_expr(n, rng, pdeg=2, terms=3))
+                f, g = operands()
+                fg, gf = star_reference(f, g), star_reference(g, f)
+                half = (fg + gf).scale_fraction(Fraction(1, 2))
+                want = {star: (fg, gf), star_commutator: (fg - gf, gf - fg),
+                        star_jordan: (half, half)}
+                for order in (list(want), list(want)[::-1]):
+                    f, g = operands()
+                    for product in order:
+                        assert product(f, g).equals(want[product][0])
+                        assert product(g, f).equals(want[product][1])
+
+    def test_star_leaves_no_cyclic_garbage(self):
+        """The half tables cached on the operands hold no reference back to
+        them, and a Nambu Jacobian frees its minors on return, so with the
+        cyclic collector off nothing is left for it."""
+        rng = random.Random(39)
+        gc.collect()
+        gc.disable()
+        try:
+            f = rand_expr(2, rng, terms=3) * plain_denominators(2)[1]
+            g = rand_expr(2, rng, terms=3)
+            star(f, g)
+            del f, g
+            assert gc.collect() == 0
+            nambu_jacobian([rand_expr(2, rng, terms=3) for _ in range(4)])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_against_sympy_moyal_series(self):
+        """star, star_commutator and star_jordan against sympy's sum of the
+        Moyal series, iterating the Poisson bidifferential on pairs of
+        sympy expressions built with an explicit sqrt(1 - x1**2 - x2**2).
+
+        Values are compared at exact points of the circle, where s may be
+        negative, so sqrt(r) is replaced by a symbol for s before the x's.
+        """
+        sp = pytest.importorskip("sympy")
+        n = 2
+        xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
+        hbar, s_sym = sp.symbols("hbar s")
+        r = 1 - xs[0] ** 2 - xs[1] ** 2
+        root, pole = sp.sqrt(r), 1 / (xs[0] - xs[1])
+        x = [PhaseExpr.coord(n, i) for i in range(n)]
+        p = [PhaseExpr.momentum(n, i) for i in range(n)]
+        s = PhaseExpr.radical_s(n)
+        inv = (x[0] - x[1]).invert_coefficient()
+        operands = [
+            ((x[0] + s.scale_fraction(2)) * p[0] + x[1] * inv * p[1],
+             (xs[0] + 2 * root) * ps[0] + xs[1] * pole * ps[1]),
+            (s * p[0] * p[1] - x[0] * inv * p[1] * p[1],
+             root * ps[0] * ps[1] - xs[0] * pole * ps[1] ** 2),
+            (s * x[1] * inv * p[0] + x[0] * x[0],
+             root * xs[1] * pole * ps[0] + xs[0] ** 2),
+        ]
+
+        def series(a, b):
+            total, pairs, k = a * b, [(a, b)], 0
+            while pairs:
+                k += 1
+                new = []
+                for u, v in pairs:
+                    for i in range(n):
+                        new.append((sp.diff(u, xs[i]), sp.diff(v, ps[i])))
+                        new.append((-sp.diff(u, ps[i]), sp.diff(v, xs[i])))
+                pairs = [(u, v) for u, v in new if u != 0 and v != 0]
+                total += (sp.I * hbar / 2) ** k / sp.factorial(k) \
+                    * sum((u * v for u, v in pairs), sp.Integer(0))
+            return total
+
+        rng = random.Random(40)
+        points = []
+        while len(points) < 2:
+            pt = random_circle_point(n, rng)
+            if pt.xvals[0] != pt.xvals[1]:
+                points.append(pt)
+        h = Fraction(3, 7)
+        for (f, fs), (g, gs) in combinations(operands, 2):
+            fg, gf = series(fs, gs), series(gs, fs)
+            checks = [(star(f, g), fg), (star_commutator(f, g), fg - gf),
+                      (star_jordan(f, g), (fg + gf) / 2)]
+            for got, want in checks:
+                want = want.subs(root, s_sym)
+                for pt in points:
+                    vals = {v: sp.Rational(c.numerator, c.denominator)
+                            for v, c in zip(xs + ps, pt.xvals + pt.pvals)}
+                    vals[s_sym] = sp.Rational(pt.sval.numerator,
+                                              pt.sval.denominator)
+                    vals[hbar] = sp.Rational(h.numerator, h.denominator)
+                    value = got.evaluate(pt, h)
+                    value = sp.Rational(value.re.numerator, value.re.denominator) \
+                        + sp.I * sp.Rational(value.im.numerator,
+                                             value.im.denominator)
+                    assert sp.expand(want.subs(vals) - value) == 0
 
 
 class TestPoissonMoyal:
@@ -199,6 +307,12 @@ class TestNambu:
             nambu_jacobian([x, px, one])
         with pytest.raises(ArityError):
             symplectic_trace([x, px, one])
+
+    def test_products_past_16_bit_exponents_raise(self):
+        x = PhaseExpr.coord(1, 0).times_hbar(40000)
+        p = PhaseExpr.momentum(1, 0).times_hbar(40000)
+        with pytest.raises(DomainError):
+            nambu_jacobian([x, p])
 
     def test_trace_reduces_to_poisson(self):
         rng = random.Random(27)

@@ -202,6 +202,15 @@ class TestPrintCanonical:
             assert rdenom(got.terms[0], 2) == want, text
             assert evaluate(print_canonical(got), b).equals(got)
 
+    def test_nambu_minor_reduced_once(self):
+        # each Laplace minor used to be summed from reduced products and
+        # left over x1*x1 + x2*x2 + x3*x3 - 1, which the sum cancels
+        b = Binding(model=get_model("chiral-s3"))
+        got = evaluate("nb((-2*s*hbar),Lch2,I2,A3,(-i*s + 3*x2*x2),"
+                       "(-1/2*x3*p3))", b)
+        assert print_canonical(got) == "6*x1*x2*x3*hbar*s*p3"
+        assert evaluate("6*x1*x2*x3*hbar*s*p3", b).equals(got)
+
     def test_roundtrip_100_random(self):
         rng = random.Random(73)
         b2 = Binding(dimension=2)
