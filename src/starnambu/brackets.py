@@ -50,7 +50,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import ArityError, DimensionError, DomainError
 from .phase import PhaseExpr
 from .poly import BITS, MASK, pscale, pshift_hbar
-from .radical import RadicalCoeff, racc, rderive_raw, rsums
+from .radical import (RadicalCoeff, racc, rden_degrees, rderive_raw,
+                      rsums)
 
 
 # -- star product ------------------------------------------------------
@@ -105,6 +106,22 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
     return table
 
 
+_DEN_DEGREES: Dict[tuple, tuple] = {}
+
+
+def _den_degrees(f: PhaseExpr) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``radical.rden_degrees`` of f's coefficients, cached on f; equal
+    values share one tuple, since most operands have the same few."""
+    cache = f._dcache
+    if cache is None:
+        cache = f._dcache = {}
+    got = cache.get("den")
+    if got is None:
+        got = rden_degrees(f.terms.values(), f.n)
+        got = cache["den"] = _DEN_DEGREES.setdefault(got, got)
+    return got
+
+
 def _xder(xs: Dict[int, PhaseExpr], alpha: int, f: PhaseExpr) -> PhaseExpr:
     """d_x^alpha of a half-table entry, memoized in its row xs; f stands in
     for the missing xs[0] of the order-0 row.
@@ -137,10 +154,15 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
     The (alpha, beta) term is (-1)**|beta| d_x^alpha H_f[beta] *
     d_x^beta H_g[alpha] over the half tables of f and g.  The sign picks
     one of two raw sums, and each output coefficient is scaled by weight,
-    multiplied by r and reduced once (``radical.rsums``).  A term of order
-    k is shifted by hbar**k, k at most the termination bound, so
-    DomainError is raised when the operands' top hbar exponents and that
-    bound, or their tops in any other field, pass MASK.
+    multiplied by r and reduced once (``radical.rsums``).
+
+    DomainError is raised when a field could pass MASK.  A term of order k,
+    k at most the termination bound, is shifted by hbar**k, and its keys
+    are sums of the operands' momentum keys.  Its x fields also grow with
+    its k raw derivatives and the common denominator of the sum: by at
+    most the degrees of the operands' denominator factors at their largest
+    exponents plus k times those of the factors themselves
+    (``radical.rden_degrees``).
     """
     if f.n != g.n:
         raise DimensionError(f"{name} needs equal dimensions")
@@ -149,8 +171,11 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
         return PhaseExpr.zero(n)
     bound = f.momentum_degree() + g.momentum_degree()
     tf, tg = f._tops(), g._tops()
-    if tf[n] + tg[n] + bound > MASK or \
-            any(a + b > MASK for a, b in zip(tf, tg)):
+    (lf, rf), (lg, rg) = _den_degrees(f), _den_degrees(g)
+    if tf[n] + tg[n] + bound > MASK \
+            or any(tf[i] + tg[i] > MASK for i in range(n + 1, 2 * n + 1)) \
+            or any(tf[i] + tg[i] + lf[i] + lg[i] + bound * (rf[i] + rg[i])
+                   > MASK for i in range(n)):
         raise DomainError(f"{name} overflows {BITS}-bit exponents")
     gh = _half(g)
     pos: Dict[int, tuple] = {}

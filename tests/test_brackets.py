@@ -12,12 +12,19 @@ from starnambu import (ArityError, DimensionError, DomainError, PhaseExpr,
 from starnambu.models import get_model
 from starnambu.operators import ExactMatrix, matrix_algebra, naive_bracket
 from starnambu.phase import random_circle_point
+from starnambu.poly import pvar
+from starnambu.radical import rfrom_poly
 from tests.test_phase import rand_expr
 
 
 def basics(n=2):
     return (PhaseExpr.coord(n, 0), PhaseExpr.momentum(n, 0),
             PhaseExpr.one(n), PhaseExpr.radical_s(n))
+
+
+def x1_power(k, n=2):
+    """x1**k, built in one step."""
+    return PhaseExpr(n, {0: rfrom_poly(pvar(0, k))})
 
 
 def plain_denominators(n):
@@ -154,6 +161,48 @@ class TestStar:
                     for product in order:
                         assert product(f, g).equals(want[product][0])
                         assert product(g, f).equals(want[product][1])
+
+    def test_denominator_growth_past_16_bit_exponents_raises(self):
+        # Each pair's raw sums reach x1**65536, one past the 16-bit field,
+        # though the operands' x1 tops sum to less than 65535.
+        x1, p1, one, _ = basics()
+        x2, p2 = PhaseExpr.coord(2, 1), PhaseExpr.momentum(2, 1)
+        q2 = x1 * x1 + x2 * x2
+        pairs = [
+            # d/dx1 (x1**32767/q2) has numerator 32767*x1**32766*q2 -
+            # 2*x1**32768: the (x1, p1) term reaches x1**(32768 + 32768)
+            (x1_power(32767) * q2.invert_coefficient() * p1,
+             x1_power(32768) * p1),
+            # d^4/dx1^4 (x1**A/q2) has numerator degree A + 4, past the
+            # slack of q2's degree alone
+            (x1_power(32766) * q2.invert_coefficient() * p1 ** 4,
+             x1_power(32766) * p1 ** 4),
+            # at p1*p2 the x1**A*x1**B/(x1 + 1)**4 term goes over the
+            # common denominator (x1 + 1)**4*q2**8: x1**(A + B + 16)
+            (x1_power(32760) * ((x1 + one) ** 4).invert_coefficient() * p1
+             + (q2 ** 8).invert_coefficient() * p2,
+             x1_power(32760) * p2 + p1),
+        ]
+        for f, g in pairs:
+            for product in (star, star_commutator, star_jordan):
+                with pytest.raises(DomainError):
+                    product(f, g)
+
+    def test_denominator_growth_up_to_16_bit_exponents(self):
+        # f = x1**A/q2 * p1 and g = x1**B * p1 with A + B + 6 = 65535: the
+        # slack for the x1 field is q2's degree plus twice that of its one
+        # factor, so the product is taken, and it is the three-term series
+        # f*g + (i*hbar/2)*(f_x*g_p - f_p*g_x) + (hbar**2/4)*f_xp*g_px
+        x1, p1, _, _ = basics()
+        x2 = PhaseExpr.coord(2, 1)
+        a, b = 32767, 32762
+        f = x1_power(a) * (x1 * x1 + x2 * x2).invert_coefficient() * p1
+        g = x1_power(b) * p1
+        fx, fp, gx, gp = f.diff_x(0), f.diff_p(0), g.diff_x(0), g.diff_p(0)
+        want = (f * g + (fx * gp - fp * gx).times_ihbar().scale_fraction(
+            Fraction(1, 2)) + (fx.diff_p(0) * gp.diff_x(0)).times_hbar(
+            2).scale_fraction(Fraction(1, 4)))
+        assert star(f, g).equals(want)
 
     def test_star_leaves_no_cyclic_garbage(self):
         """The half tables cached on the operands hold no reference back to
