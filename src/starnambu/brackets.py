@@ -22,7 +22,9 @@ d_x^beta H_g[alpha].  Each operand builds its half table once and keeps it,
 so every star sum it enters, in either order, reuses the same momentum
 chain; x-derivatives of an entry are taken only when a term asks for them,
 and left unreduced.  Coefficient products are summed raw, with s**2 = r
-applied and the result reduced once per output coefficient.
+applied and the result reduced once per output coefficient, as every sum
+of products is (``phase.add_products``).  No exponent is bounded in
+advance: a field that passes MASK raises DomainError where it is formed.
 
 For g * f the same (alpha, beta) term appears with (-1)**|alpha| in place
 of (-1)**|beta|.  The two signs differ when |alpha| + |beta| is odd and
@@ -47,11 +49,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ArityError, DimensionError, DomainError
-from .phase import PhaseExpr
+from .errors import ArityError, DimensionError
+from .phase import PhaseExpr, add_products
 from .poly import BITS, MASK, pscale, pshift_hbar
-from .radical import (RadicalCoeff, racc, rden_degrees, rderive_raw,
-                      rsums)
+from .radical import RadicalCoeff, rderive_raw, rsums
 
 
 # -- star product ------------------------------------------------------
@@ -106,22 +107,6 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
     return table
 
 
-_DEN_DEGREES: Dict[tuple, tuple] = {}
-
-
-def _den_degrees(f: PhaseExpr) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """``radical.rden_degrees`` of f's coefficients, cached on f; equal
-    values share one tuple, since most operands have the same few."""
-    cache = f._dcache
-    if cache is None:
-        cache = f._dcache = {}
-    got = cache.get("den")
-    if got is None:
-        got = rden_degrees(f.terms.values(), f.n)
-        got = cache["den"] = _DEN_DEGREES.setdefault(got, got)
-    return got
-
-
 def _xder(xs: Dict[int, PhaseExpr], alpha: int, f: PhaseExpr) -> PhaseExpr:
     """d_x^alpha of a half-table entry, memoized in its row xs; f stands in
     for the missing xs[0] of the order-0 row.
@@ -155,28 +140,12 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
     d_x^beta H_g[alpha] over the half tables of f and g.  The sign picks
     one of two raw sums, and each output coefficient is scaled by weight,
     multiplied by r and reduced once (``radical.rsums``).
-
-    DomainError is raised when a field could pass MASK.  A term of order k,
-    k at most the termination bound, is shifted by hbar**k, and its keys
-    are sums of the operands' momentum keys.  Its x fields also grow with
-    its k raw derivatives and the common denominator of the sum: by at
-    most the degrees of the operands' denominator factors at their largest
-    exponents plus k times those of the factors themselves
-    (``radical.rden_degrees``).
     """
     if f.n != g.n:
         raise DimensionError(f"{name} needs equal dimensions")
     n = f.n
     if f.is_zero() or g.is_zero():
         return PhaseExpr.zero(n)
-    bound = f.momentum_degree() + g.momentum_degree()
-    tf, tg = f._tops(), g._tops()
-    (lf, rf), (lg, rg) = _den_degrees(f), _den_degrees(g)
-    if tf[n] + tg[n] + bound > MASK \
-            or any(tf[i] + tg[i] > MASK for i in range(n + 1, 2 * n + 1)) \
-            or any(tf[i] + tg[i] + lf[i] + lg[i] + bound * (rf[i] + rg[i])
-                   > MASK for i in range(n)):
-        raise DomainError(f"{name} overflows {BITS}-bit exponents")
     gh = _half(g)
     pos: Dict[int, tuple] = {}
     neg: Dict[int, tuple] = {}
@@ -188,12 +157,7 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
             left = _xder(fxs, alpha, f)
             if left.is_zero():
                 continue
-            right = _xder(gxs, beta, g)
-            if right.is_zero():
-                continue
-            for k2, c2 in right.terms.items():
-                for k1, c1 in left.terms.items():
-                    racc(acc, k1 + k2, c1, c2, n)
+            add_products(acc, _xder(gxs, beta, g), left)
     return PhaseExpr(n, rsums(pos, neg, weight, n))
 
 
@@ -225,14 +189,17 @@ def star_jordan(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
 
 
 def poisson(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
-    """Classical Poisson bracket sum(d_x f d_p g - d_p f d_x g)."""
+    """Classical Poisson bracket sum(d_x f d_p g - d_p f d_x g), its
+    products summed raw and each coefficient reduced once."""
     if f.n != g.n:
         raise DimensionError("poisson bracket needs equal dimensions")
     n = f.n
-    total = PhaseExpr.zero(n)
+    pos: Dict[int, tuple] = {}
+    neg: Dict[int, tuple] = {}
     for a in range(n):
-        total = total + f.diff_x(a) * g.diff_p(a) - f.diff_p(a) * g.diff_x(a)
-    return total
+        add_products(pos, f.diff_x(a), g.diff_p(a))
+        add_products(neg, f.diff_p(a), g.diff_x(a))
+    return PhaseExpr(n, rsums(pos, neg, 1, n))
 
 
 def moyal(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
@@ -286,15 +253,8 @@ def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
                 continue
             a = grads[i][j]
             if not a.is_zero():
-                sub = minor(i + 1, mask & ~bit)
-                if not sub.is_zero():
-                    if a._top() + sub._top() > MASK:
-                        raise DomainError(
-                            f"product overflows {BITS}-bit exponents")
-                    acc = pos if sign > 0 else neg
-                    for k1, c1 in a.terms.items():
-                        for k2, c2 in sub.terms.items():
-                            racc(acc, k1 + k2, c1, c2, n)
+                add_products(pos if sign > 0 else neg, a,
+                             minor(i + 1, mask & ~bit))
             sign = -sign
         total = memo[(i, mask)] = PhaseExpr(n, rsums(pos, neg, 1, n))
         return total
@@ -376,22 +336,18 @@ class BracketResult:
 class SubsetCache:
     """Cross-call cache of sub-bracket values, keyed by entry identity.
 
-    Holds references to the keyed operands so ids stay valid.
+    Each value is stored with its subset, which keeps the ids valid.
     """
 
     def __init__(self):
-        self._data: Dict[tuple, Any] = {}
-        self._pins: list = []
+        self._data: Dict[tuple, tuple] = {}
 
-    def key(self, subset: tuple) -> tuple:
-        return tuple(id(e) for e in subset)
+    def get(self, subset: tuple):
+        got = self._data.get(tuple(map(id, subset)))
+        return None if got is None else got[1]
 
-    def get(self, k):
-        return self._data.get(k)
-
-    def put(self, k, subset, value):
-        self._pins.append(subset)
-        self._data[k] = value
+    def put(self, subset: tuple, value):
+        self._data[tuple(map(id, subset))] = (subset, value)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -450,10 +406,8 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
             return got
         bits = [1 << j for j in range(k) if mask >> j & 1]
         subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
-        ck = None
         if cache is not None:
-            ck = cache.key(subset)
-            got = cache.get(ck)
+            got = cache.get(subset)
             if got is not None:
                 memo[mask] = got
                 return got
@@ -486,7 +440,7 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                 val = prod if val is None else val + prod
         memo[mask] = val
         if cache is not None:
-            cache.put(ck, subset, val)
+            cache.put(subset, val)
         return val
 
     try:

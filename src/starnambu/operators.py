@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
 from .gauss import qis_zero, qpow_i
-from .poly import (BITS, MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale,
-                   pshift_hbar)
+from .poly import PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
@@ -137,10 +136,6 @@ class ExactMatrix:
         would pass MASK."""
         if k < 0:
             raise DomainError("negative powers of hbar")
-        top = max((max(e) for row in self._rows for e in row.values()),
-                  default=0)
-        if top + k > MASK:
-            raise DomainError(f"hbar degree {top + k} overflows {BITS} bits")
         return ExactMatrix._of(self.dim, ({j: pshift_hbar(e, 0, k)
                                            for j, e in row.items()}
                                           for row in self._rows))

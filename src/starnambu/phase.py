@@ -2,8 +2,11 @@
 
 A PhaseExpr over dimension n is a finite sum of momentum monomials with
 coefficients in the radical field of :mod:`starnambu.radical`.  Momentum
-exponents are packed 16 bits per variable, as in the polynomial kernel.
-Values are immutable after construction and every operation is pure.
+exponents are packed as in the polynomial kernel, 17-bit fields with a
+guard bit.  Values are immutable after construction and every operation is
+pure.  Every sum of products of terms (a product, a Poisson bracket, a
+Nambu minor, a star sum) goes through ``add_products``, the one place
+momentum exponents are added, and is reduced once per output coefficient.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from typing import Dict, Iterable, Tuple
 
 from .errors import DimensionError, DomainError, InexactDivision
 from .gauss import GaussRational, qadd, qfromfrac, qmul, qpow_i
-from .poly import BITS, MASK, PONE, phbar, pvar, pack
-from .radical import (RadicalCoeff, RZERO, radd, rderive, rdivide_ihbar,
+from .poly import (BITS, GUARD, MASK, PONE, overflow, pack, pack_one, phbar,
+                   pvar)
+from .radical import (RadicalCoeff, RZERO, racc, radd, rderive, rdivide_ihbar,
                       rdivisible_hbar, requal, reval, ris_poly, ris_zero,
                       rfrom_poly, rfrom_scalar, rinv, rmake, rmul, rneg,
-                      rs_coeff, rscale, rsub, rsubst_hbar_zero,
-                      rtimes_ihbar, rw_coeff, r_poly, rdenom)
+                      rs_coeff, rscale, rsub, rsubst_hbar_zero, rsums,
+                      rtimes_ihbar, rw_coeff, r_poly)
 
 
 class PhaseExpr:
@@ -30,14 +34,13 @@ class PhaseExpr:
     since bracket evaluations differentiate the same operands many times.
     """
 
-    __slots__ = ("n", "terms", "_dcache", "_topc")
+    __slots__ = ("n", "terms", "_dcache")
     __hash__ = None
 
     def __init__(self, n: int, terms: Dict[int, RadicalCoeff]):
         self.n = n
         self.terms = {k: c for k, c in terms.items() if not ris_zero(c)}
         self._dcache = None
-        self._topc = None
 
     # -- constructors -------------------------------------------------
 
@@ -67,7 +70,7 @@ class PhaseExpr:
     @classmethod
     def momentum(cls, n: int, a: int) -> "PhaseExpr":
         _check_index(n, a)
-        return cls(n, {1 << (BITS * a): rfrom_poly(PONE)})
+        return cls(n, {pack_one(a, 1): rfrom_poly(PONE)})
 
     @classmethod
     def radical_s(cls, n: int) -> "PhaseExpr":
@@ -134,17 +137,9 @@ class PhaseExpr:
     def __mul__(self, other):
         if isinstance(other, PhaseExpr):
             self._check(other)
-            if self._top() + other._top() > MASK:
-                raise DomainError(f"product overflows {BITS}-bit exponents")
-            n = self.n
-            out: Dict[int, RadicalCoeff] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = k1 + k2
-                    c = rmul(c1, c2, n)
-                    prev = out.get(k)
-                    out[k] = c if prev is None else radd(prev, c, n)
-            return PhaseExpr(n, out)
+            acc: Dict[int, tuple] = {}
+            add_products(acc, self, other)
+            return PhaseExpr(self.n, rsums(acc, {}, 1, self.n))
         return self.scale_fraction(other)
 
     __rmul__ = __mul__
@@ -167,11 +162,6 @@ class PhaseExpr:
         if k < 0:
             raise DomainError("negative powers of i*hbar")
         n = self.n
-        shift = BITS * n
-        top = max((m >> shift for c in self.terms.values()
-                   for m in (*c[0], *c[1])), default=0)
-        if top + k > MASK:
-            raise DomainError(f"hbar degree {top + k} overflows {BITS} bits")
         return PhaseExpr(n, {key: rtimes_ihbar(c, n, k)
                              for key, c in self.terms.items()})
 
@@ -181,47 +171,13 @@ class PhaseExpr:
     def __pow__(self, k: int) -> "PhaseExpr":
         if k < 0:
             raise DomainError("negative powers of phase expressions")
-        if k * self._top() > MASK:
-            raise DomainError(f"power {k} overflows {BITS}-bit exponents")
+        if k > MASK and any(key or any(c[0]) or c[1] or c[2]
+                            for key, c in self.terms.items()):
+            raise DomainError(f"power {k} overflows 16-bit exponents")
         out = PhaseExpr.one(self.n)
         for _ in range(k):
             out = out * self
         return out
-
-    def _top(self) -> int:
-        """The largest exponent one factor of self adds to any packed field,
-        so a product overflows no field while the factors' tops sum to at
-        most MASK."""
-        return max(self._tops())
-
-    def _tops(self) -> Tuple[int, ...]:
-        """The largest exponent one factor of self adds to each packed
-        field: x_1..x_n and hbar of the coefficients, then p_1..p_n.
-        Computed once per value.
-
-        s counts as degree 1 in each x, since s**2 = 1 - q**2, and the
-        denominator through its polynomial, cached per value by ``rdenom``.
-        """
-        if self._topc is None:
-            n = self.n
-            shift = BITS * n
-            tops = [0] * (2 * n + 1)
-            for key, c in self.terms.items():
-                for i in range(n):
-                    e = (key >> (BITS * i)) & MASK
-                    if e > tops[n + 1 + i]:
-                        tops[n + 1 + i] = e
-                for monos, extra in ((c[0], 0), (c[1], 1),
-                                     (rdenom(c, n), 0)):
-                    for m in monos:
-                        if m >> shift > tops[n]:
-                            tops[n] = m >> shift
-                        for i in range(n):
-                            e = ((m >> (BITS * i)) & MASK) + extra
-                            if e > tops[i]:
-                                tops[i] = e
-            self._topc = tuple(tops)
-        return self._topc
 
     def invert_coefficient(self) -> "PhaseExpr":
         """Inverse of a momentum-free expression, when representable."""
@@ -234,7 +190,11 @@ class PhaseExpr:
 
     def __truediv__(self, other: "PhaseExpr") -> "PhaseExpr":
         if isinstance(other, PhaseExpr):
-            return self * other.invert_coefficient()
+            self._check(other)
+            n = self.n
+            inv = other.invert_coefficient().terms[0]
+            return PhaseExpr(n, {k: rmul(c, inv, n)
+                                 for k, c in self.terms.items()})
         return self.scale_fraction(Fraction(1, 1) / Fraction(other))
 
     # -- calculus -----------------------------------------------------
@@ -261,17 +221,13 @@ class PhaseExpr:
         got = cache.get(("p", a))
         if got is not None:
             return got
-        n = self.n
         shift = BITS * a
         out: Dict[int, RadicalCoeff] = {}
         for k, c in self.terms.items():
             e = (k >> shift) & MASK
-            if e:
-                kk = k - (1 << shift)
-                nc = c if e == 1 else rscale(c, (e, 0, 1))
-                prev = out.get(kk)
-                out[kk] = nc if prev is None else radd(prev, nc, n)
-        result = PhaseExpr(n, out)
+            if e:  # distinct keys stay distinct, so nothing is summed
+                out[k - (1 << shift)] = c if e == 1 else rscale(c, (e, 0, 1))
+        result = PhaseExpr(self.n, out)
         cache[("p", a)] = result
         return result
 
@@ -330,6 +286,21 @@ class PhaseExpr:
         """The canonical text form of :func:`starnambu.lang.print_canonical`."""
         from .lang import print_canonical
         return print_canonical(self)
+
+
+def add_products(acc: dict, f: PhaseExpr, g: PhaseExpr) -> None:
+    """Add the product of each term of f and each term of g to the raw sums
+    acc, keyed by momentum (``radical.racc``); ``radical.rsums`` turns
+    them into reduced coefficients.  DomainError when a momentum exponent
+    passes MASK."""
+    n = f.n
+    gterms = g.terms.items()
+    for k1, c1 in f.terms.items():
+        for k2, c2 in gterms:
+            k = k1 + k2
+            if k & GUARD:
+                raise overflow("product")
+            racc(acc, k, c1, c2, n)
 
 
 def _check_index(n: int, a: int):

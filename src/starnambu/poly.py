@@ -2,9 +2,18 @@
 
 A polynomial in the variables (x_1 .. x_n, hbar) is a dict mapping a packed
 exponent key to a scalar triple from :mod:`starnambu.gauss`.  Exponents are
-packed 16 bits per variable, x_1 in the lowest field and hbar in the highest,
-so that monomial multiplication is integer addition on keys.  The same kernel
-with n = 0 serves as the hbar-polynomial ring used by the operator backend.
+packed one 17-bit field per variable, x_1 in the lowest field and hbar in
+the highest, so that monomial multiplication is integer addition on keys.
+The same kernel with n = 0 serves as the hbar-polynomial ring used by the
+operator backend.
+
+An exponent is at most MASK = 65535; the 17th bit of a field is a guard.
+Two exponents in range sum to less than 2**17, so they never carry into
+the next field, and they pass MASK exactly when they set the guard bit.
+So wherever exponents are added (``pmul``, ``pshift_hbar``, the remainder
+of ``pdivmod_exact``, momentum keys in ``phase.add_products``) one test,
+``key & GUARD``, catches every overflow.  The packers admit exponents
+0..MASK in fields below FIELDS, all of which GUARD covers.
 
 All functions treat dicts as immutable values and never store a zero
 coefficient.
@@ -17,10 +26,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Tuple
 
+from .errors import DomainError
 from .gauss import QONE, qadd, qis_zero, qmul, qpow_i, qdiv, qfromfrac
 
-BITS = 16
-MASK = (1 << BITS) - 1
+BITS = 17  # bits per packed field: a 16-bit exponent and a guard bit
+MASK = (1 << 16) - 1  # the largest exponent
+FIELDS = 1024  # the number of fields a key may use
+GUARD = sum(1 << (BITS * i + 16) for i in range(FIELDS))
+
+
+def overflow(what: str) -> DomainError:
+    return DomainError(f"{what} overflows 16-bit exponents")
+
 
 Poly = Dict[int, tuple]
 
@@ -34,17 +51,26 @@ PONE = {0: QONE}
 
 def pvar(index: int, power: int = 1) -> Poly:
     """x_index (0-based); the hbar field is index == nvars."""
-    return {power << (BITS * index): QONE}
+    return {pack_one(index, power): QONE}
 
 
 def phbar(nvars: int, power: int = 1) -> Poly:
-    return {power << (BITS * nvars): QONE}
+    return {pack_one(nvars, power): QONE}
+
+
+def pack_one(index: int, e: int) -> int:
+    """The key of one variable, field index, to the power e."""
+    if not 0 <= index < FIELDS:
+        raise DomainError(f"variable field {index} is past {FIELDS} fields")
+    if not 0 <= e <= MASK:
+        raise DomainError(f"exponent {e} is outside 16-bit exponents")
+    return e << (BITS * index)
 
 
 def pack(exps: Tuple[int, ...]) -> int:
     key = 0
     for i, e in enumerate(exps):
-        key |= e << (BITS * i)
+        key |= pack_one(i, e)
     return key
 
 
@@ -100,7 +126,10 @@ def pscale(f: Poly, c) -> Poly:
 
 def pmul(f: Poly, g: Poly) -> Poly:
     """Sparse product; the scalar arithmetic is inlined since this loop
-    dominates every bracket computation."""
+    dominates every bracket computation.
+
+    DomainError when the exponents of some pair of terms sum past MASK;
+    each key is tested as it enters the output."""
     if not f or not g:
         return {}
     if len(f) > len(g):
@@ -122,7 +151,10 @@ def pmul(f: Poly, g: Poly) -> Poly:
                     na //= cf
                     nb //= cf
                     nd //= cf
-            out[k1 + k2] = (na, nb, nd)
+            k = k1 + k2
+            if k & GUARD:
+                raise overflow("product")
+            out[k] = (na, nb, nd)
         return out
     out: Poly = {}
     get = out.get
@@ -145,6 +177,8 @@ def pmul(f: Poly, g: Poly) -> Poly:
                     nd //= cf
             prev = get(k)
             if prev is None:
+                if k & GUARD:
+                    raise overflow("product")
                 out[k] = (na, nb, nd)
                 continue
             pa, pb, pd = prev
@@ -222,6 +256,11 @@ def pdivmod_exact(f: Poly, g: Poly, nfields: int) -> Optional[Poly]:
     which is lexicographic with hbar most significant; any monomial order
     gives the same exact quotient, and raw int comparison keeps the heap
     cheap.
+
+    A remainder term past MASK also means None.  Were f = q*g, the degree
+    of f in each variable would be the sum of those of q and g, so no
+    product of a term of q and a term of g could pass MASK, and the
+    quotient terms found here are terms of q.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -249,6 +288,8 @@ def pdivmod_exact(f: Poly, g: Poly, nfields: int) -> Optional[Poly]:
         heapq.heappop(heap)
         for k, c in gpairs:
             kk = k + qkey
+            if kk & GUARD:
+                return None
             prev = rem.get(kk)
             prod = qmul(c, qc)
             if prev is None:
@@ -269,9 +310,12 @@ def pdivisible_hbar(f: Poly, nvars: int, k: int) -> bool:
 
 
 def pshift_hbar(f: Poly, nvars: int, k: int) -> Poly:
-    """Multiply by hbar**k (k may be negative when exactly divisible)."""
-    delta = k << (BITS * nvars)
-    return {key + delta: c for key, c in f.items()}
+    """Multiply by hbar**k, 0 <= k <= MASK."""
+    delta = pack_one(nvars, k)
+    out = {key + delta: c for key, c in f.items()}
+    if any(key & GUARD for key in out):
+        raise overflow("hbar shift")
+    return out
 
 
 def pdrop_hbar(f: Poly, nvars: int) -> Poly:

@@ -9,12 +9,13 @@ denominator into powers of rbar = q**2 - 1 (the monic associate of
 every operation is exponent bookkeeping over the tuple.  The polynomial D is
 built only by ``rdenom``, cached by value.  ``rmul``, ``rmake`` and
 ``rderive`` reduce their result; ``rderive_raw`` does not.
-A sum of many products (a star sum, a Jacobian minor) is accumulated raw
-with ``racc``, and ``rsums`` applies s**2 = r and reduces once per
-coefficient.  Sums are not reduced.  Equality is decided by
-cross-multiplication, so reduction affects performance and printed form
-only.  Cancellation is decided by exact trial division alone, the s-part
-first.
+Every sum of products (a product of phase expressions, a Poisson bracket, a
+star sum, a Jacobian minor) is accumulated raw with ``racc``, and ``rsums``
+applies s**2 = r and reduces once per coefficient.  Sums are not reduced.
+Equality is decided by cross-multiplication, so reduction affects
+performance and printed form only.  Cancellation is decided by exact trial
+division alone, the s-part first.  Exponent overflow is caught by
+``poly.pmul``, through which every product here goes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DivisionByZero, EvaluationPole, InexactDivision, NotInvertible
 from .gauss import QONE, qdiv, qinv, qis_zero, qmul, qadd, qfromfrac, qpow_i
-from .poly import (BITS, MASK, PONE, Poly, padd, pconst, pderive,
+from .poly import (PONE, Poly, padd, pconst, pderive,
                    pdivide_ihbar, pdivisible_hbar, pdivmod_exact, pdrop_hbar,
                    peval, phas_hbar, pis_zero, pmonic, pmul, pneg, pscale,
                    pshift_hbar, psub, pvar)
@@ -470,33 +471,6 @@ def rderive_raw(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
 def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
     """d/dx_index, reduced once (``rderive_raw``, then ``rreduce``)."""
     return rreduce(rderive_raw(u, index, n), n)
-
-
-def rden_degrees(coeffs, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Per x field, the degree of the product of the distinct denominator
-    factors of coeffs, each to its largest exponent, and of their product
-    to the first power, with rbar when some coefficient has an s part.
-
-    The first product is a multiple of every common denominator that
-    ``_add_plan`` forms for them.  A raw derivative (``rderive_raw``)
-    multiplies a denominator by at most one power of each factor of the
-    second, and raises each field of the numerator, s counted as degree 1,
-    by no more than the denominator's.
-    """
-    exps: dict = {}
-    for c in coeffs:
-        for f, e in c[2]:
-            if e > exps.get(f, 0):
-                exps[f] = e
-        if c[1]:
-            exps.setdefault(_freeze(rbar_poly(n)), 0)
-    lcm, rad = [0] * n, [0] * n
-    for f, e in exps.items():
-        for i in range(n):
-            d = max((m >> (BITS * i)) & MASK for m, _ in f)
-            lcm[i] += e * d
-            rad[i] += d
-    return tuple(lcm), tuple(rad)
 
 
 def rsubst_hbar_zero(u: RadicalCoeff, n: int) -> RadicalCoeff:

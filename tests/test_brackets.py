@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -66,6 +67,66 @@ def star_reference(f, g):
         total = total + order.times_ihbar(k).scale_fraction(
             Fraction(1, (1 << k) * kfact))
     return total
+
+
+def sympy_twins(sp):
+    """Operands on n = 2 with s and the pole 1/(x1 - x2), each paired with
+    the same function in sympy, built with an explicit
+    sqrt(1 - x1**2 - x2**2)."""
+    n = 2
+    xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
+    root = sp.sqrt(1 - xs[0] ** 2 - xs[1] ** 2)
+    pole = 1 / (xs[0] - xs[1])
+    x = [PhaseExpr.coord(n, i) for i in range(n)]
+    p = [PhaseExpr.momentum(n, i) for i in range(n)]
+    s = PhaseExpr.radical_s(n)
+    inv = (x[0] - x[1]).invert_coefficient()
+    return [
+        ((x[0] + s.scale_fraction(2)) * p[0] + x[1] * inv * p[1],
+         (xs[0] + 2 * root) * ps[0] + xs[1] * pole * ps[1]),
+        (s * p[0] * p[1] - x[0] * inv * p[1] * p[1],
+         root * ps[0] * ps[1] - xs[0] * pole * ps[1] ** 2),
+        (s * x[1] * inv * p[0] + x[0] * x[0],
+         root * xs[1] * pole * ps[0] + xs[0] ** 2),
+    ]
+
+
+def sympy_points(count, seed):
+    """Exact points of the circle off the pole x1 = x2."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        pt = random_circle_point(2, rng)
+        if pt.xvals[0] != pt.xvals[1]:
+            points.append(pt)
+    return points
+
+
+def sympy_at(sp, expr, pt, h):
+    """The sympy expression expr at the point pt and hbar = h.
+
+    s may be negative at a point of the circle, so sqrt(r) is replaced by
+    a symbol for s before the x's are.
+    """
+    xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
+    hbar, s_sym = sp.symbols("hbar s")
+
+    def rational(q):
+        return sp.Rational(q.numerator, q.denominator)
+
+    expr = expr.subs(sp.sqrt(1 - xs[0] ** 2 - xs[1] ** 2), s_sym)
+    vals = {v: rational(c) for v, c in zip(xs + ps, pt.xvals + pt.pvals)}
+    vals[s_sym], vals[hbar] = rational(pt.sval), rational(h)
+    return expr.subs(vals)
+
+
+def assert_sympy_values(sp, got, want, points, h):
+    """got equals the sympy expression want at each point, at hbar = h."""
+    for pt in points:
+        value = got.evaluate(pt, h)
+        value = sp.Rational(value.re.numerator, value.re.denominator) \
+            + sp.I * sp.Rational(value.im.numerator, value.im.denominator)
+        assert sp.expand(sympy_at(sp, want, pt, h) - value) == 0
 
 
 class TestStar:
@@ -164,17 +225,19 @@ class TestStar:
 
     def test_denominator_growth_past_16_bit_exponents_raises(self):
         # Each pair's raw sums reach x1**65536, one past the 16-bit field,
-        # though the operands' x1 tops sum to less than 65535.
+        # though the operands' x1 tops sum to less than 65535; the
+        # products whose terms never form it return their series.
         x1, p1, one, _ = basics()
         x2, p2 = PhaseExpr.coord(2, 1), PhaseExpr.momentum(2, 1)
         q2 = x1 * x1 + x2 * x2
         pairs = [
             # d/dx1 (x1**32767/q2) has numerator 32767*x1**32766*q2 -
-            # 2*x1**32768: the (x1, p1) term reaches x1**(32768 + 32768)
+            # 2*x1**32768: the (x1, p1) term reaches x1**(32768 + 32768),
+            # an odd order, which the Jordan product skips
             (x1_power(32767) * q2.invert_coefficient() * p1,
              x1_power(32768) * p1),
-            # d^4/dx1^4 (x1**A/q2) has numerator degree A + 4, past the
-            # slack of q2's degree alone
+            # d^4/dx1^4 (x1**A/q2) has numerator degree A + 4: the
+            # (x1**4, 1) term, of even order, reaches x1**65536
             (x1_power(32766) * q2.invert_coefficient() * p1 ** 4,
              x1_power(32766) * p1 ** 4),
             # at p1*p2 the x1**A*x1**B/(x1 + 1)**4 term goes over the
@@ -183,10 +246,35 @@ class TestStar:
              + (q2 ** 8).invert_coefficient() * p2,
              x1_power(32760) * p2 + p1),
         ]
-        for f, g in pairs:
+        returns = {(0, star_jordan), (1, star_commutator)}
+        for i, (f, g) in enumerate(pairs):
             for product in (star, star_commutator, star_jordan):
-                with pytest.raises(DomainError):
-                    product(f, g)
+                if (i, product) not in returns:
+                    with pytest.raises(DomainError):
+                        product(f, g)
+
+        def series(f, g, parity, weight):
+            # the (j, k) term of f*g in p1 alone: (i*hbar/2)**(j + k) *
+            # (-1)**k / (j! k!) * d_x^j d_p^k f * d_p^j d_x^k g
+            total = PhaseExpr.zero(2)
+            for j in range(5):
+                for k in range(5):
+                    if (j + k) % 2 != parity:
+                        continue
+                    left, right = f, g
+                    for _ in range(j):
+                        left, right = left.diff_x(0), right.diff_p(0)
+                    for _ in range(k):
+                        left, right = left.diff_p(0), right.diff_x(0)
+                    scale = Fraction((-1) ** k * weight,
+                                     2 ** (j + k) * factorial(j) * factorial(k))
+                    total = total + (left * right).times_ihbar(
+                        j + k).scale_fraction(scale)
+            return total
+
+        (f0, g0), (f1, g1) = pairs[:2]
+        assert star_jordan(f0, g0).equals(series(f0, g0, 0, 1))
+        assert star_commutator(f1, g1).equals(series(f1, g1, 1, 2))
 
     def test_denominator_growth_up_to_16_bit_exponents(self):
         # f = x1**A/q2 * p1 and g = x1**B * p1 with A + B + 6 = 65535: the
@@ -225,29 +313,12 @@ class TestStar:
     def test_against_sympy_moyal_series(self):
         """star, star_commutator and star_jordan against sympy's sum of the
         Moyal series, iterating the Poisson bidifferential on pairs of
-        sympy expressions built with an explicit sqrt(1 - x1**2 - x2**2).
-
-        Values are compared at exact points of the circle, where s may be
-        negative, so sqrt(r) is replaced by a symbol for s before the x's.
-        """
+        sympy expressions built with an explicit sqrt(1 - x1**2 - x2**2),
+        compared at exact points of the circle."""
         sp = pytest.importorskip("sympy")
         n = 2
         xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
-        hbar, s_sym = sp.symbols("hbar s")
-        r = 1 - xs[0] ** 2 - xs[1] ** 2
-        root, pole = sp.sqrt(r), 1 / (xs[0] - xs[1])
-        x = [PhaseExpr.coord(n, i) for i in range(n)]
-        p = [PhaseExpr.momentum(n, i) for i in range(n)]
-        s = PhaseExpr.radical_s(n)
-        inv = (x[0] - x[1]).invert_coefficient()
-        operands = [
-            ((x[0] + s.scale_fraction(2)) * p[0] + x[1] * inv * p[1],
-             (xs[0] + 2 * root) * ps[0] + xs[1] * pole * ps[1]),
-            (s * p[0] * p[1] - x[0] * inv * p[1] * p[1],
-             root * ps[0] * ps[1] - xs[0] * pole * ps[1] ** 2),
-            (s * x[1] * inv * p[0] + x[0] * x[0],
-             root * xs[1] * pole * ps[0] + xs[0] ** 2),
-        ]
+        hbar = sp.Symbol("hbar")
 
         def series(a, b):
             total, pairs, k = a * b, [(a, b)], 0
@@ -263,30 +334,13 @@ class TestStar:
                     * sum((u * v for u, v in pairs), sp.Integer(0))
             return total
 
-        rng = random.Random(40)
-        points = []
-        while len(points) < 2:
-            pt = random_circle_point(n, rng)
-            if pt.xvals[0] != pt.xvals[1]:
-                points.append(pt)
-        h = Fraction(3, 7)
-        for (f, fs), (g, gs) in combinations(operands, 2):
+        points = sympy_points(2, 40)
+        for (f, fs), (g, gs) in combinations(sympy_twins(sp), 2):
             fg, gf = series(fs, gs), series(gs, fs)
             checks = [(star(f, g), fg), (star_commutator(f, g), fg - gf),
                       (star_jordan(f, g), (fg + gf) / 2)]
             for got, want in checks:
-                want = want.subs(root, s_sym)
-                for pt in points:
-                    vals = {v: sp.Rational(c.numerator, c.denominator)
-                            for v, c in zip(xs + ps, pt.xvals + pt.pvals)}
-                    vals[s_sym] = sp.Rational(pt.sval.numerator,
-                                              pt.sval.denominator)
-                    vals[hbar] = sp.Rational(h.numerator, h.denominator)
-                    value = got.evaluate(pt, h)
-                    value = sp.Rational(value.re.numerator, value.re.denominator) \
-                        + sp.I * sp.Rational(value.im.numerator,
-                                             value.im.denominator)
-                    assert sp.expand(want.subs(vals) - value) == 0
+                assert_sympy_values(sp, got, want, points, Fraction(3, 7))
 
 
 class TestPoissonMoyal:
@@ -308,6 +362,18 @@ class TestPoissonMoyal:
             assert star(f, g).subst_hbar_zero().equals((f * g).subst_hbar_zero())
             assert moyal(f, g).subst_hbar_zero().equals(
                 poisson(f, g).subst_hbar_zero())
+
+    def test_poisson_against_sympy(self):
+        """poisson against sympy's sum of d_x f d_p g - d_p f d_x g on
+        operands with s and a pole."""
+        sp = pytest.importorskip("sympy")
+        xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
+        points = sympy_points(2, 41)
+        for (f, fs), (g, gs) in combinations(sympy_twins(sp), 2):
+            want = sum((sp.diff(fs, xs[i]) * sp.diff(gs, ps[i])
+                        - sp.diff(fs, ps[i]) * sp.diff(gs, xs[i])
+                        for i in range(2)), sp.Integer(0))
+            assert_sympy_values(sp, poisson(f, g), want, points, 0)
 
     def test_moyal_is_a_star_derivation(self):
         rng = random.Random(24)
@@ -356,6 +422,28 @@ class TestNambu:
             nambu_jacobian([x, px, one])
         with pytest.raises(ArityError):
             symplectic_trace([x, px, one])
+
+    def test_against_sympy_determinant(self):
+        """nambu_jacobian against sympy's determinant of the gradients in
+        the column order (x1, p1, x2, p2), taken at each point."""
+        sp = pytest.importorskip("sympy")
+        xs, ps = sp.symbols("x1:3"), sp.symbols("p1:3")
+        hbar = sp.Symbol("hbar")
+        root = sp.sqrt(1 - xs[0] ** 2 - xs[1] ** 2)
+        x1, p1 = PhaseExpr.coord(2, 0), PhaseExpr.momentum(2, 0)
+        p2, s = PhaseExpr.momentum(2, 1), PhaseExpr.radical_s(2)
+        twins = sympy_twins(sp) + [
+            (PhaseExpr.hbar(2) * x1 * p2 + s * p1 * p1,
+             hbar * xs[0] * ps[1] + root * ps[0] ** 2)]
+        h = Fraction(2, 5)
+        for order in ((0, 1, 2, 3), (3, 1, 0, 2)):
+            entries = [twins[i] for i in order]
+            got = nambu_jacobian([f for f, _ in entries])
+            for pt in sympy_points(2, 42):
+                grads = sp.Matrix([[sympy_at(sp, sp.diff(fs, v), pt, h)
+                                    for v in (xs[0], ps[0], xs[1], ps[1])]
+                                   for _, fs in entries])
+                assert_sympy_values(sp, got, grads.det(), [pt], h)
 
     def test_products_past_16_bit_exponents_raise(self):
         x = PhaseExpr.coord(1, 0).times_hbar(40000)

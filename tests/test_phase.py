@@ -6,7 +6,8 @@ import pytest
 from starnambu import (DimensionError, DomainError, EvalPoint, InexactDivision,
                        PhaseExpr, normalize_terms, random_circle_point)
 from starnambu.models import get_model
-from starnambu.poly import PONE
+from starnambu.poly import PONE, pvar
+from starnambu.radical import rfrom_poly
 
 
 def exprs(n=2):
@@ -129,6 +130,31 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             x * x
 
+    def test_sum_past_16_bit_exponents_raises(self):
+        # the common denominator (x1 - x2)*(x1 + x2)**3 multiplies
+        # x1**65533 by (x1 + x2)**3; its x1**65536 used to wrap into x2,
+        # so the numerator held -4*x2 where -5*x2 + x1**65536 belongs
+        x1, x2 = PhaseExpr.coord(2, 0), PhaseExpr.coord(2, 1)
+        big = PhaseExpr(2, {0: rfrom_poly(pvar(0, 65533))})
+        left = big / (x1 - x2)
+        right = PhaseExpr.const(2, 5) / (x1 + x2) ** 3
+        for op in (PhaseExpr.__add__, PhaseExpr.__sub__):
+            with pytest.raises(DomainError):
+                op(left, right)
+
+    def test_division_up_to_16_bit_exponents(self):
+        # trial division of x1**65535*x2**2 by q2 = x1**2 + x2**2 forms the
+        # remainder term x1**65537; that only shows q2 does not divide it,
+        # so the quotient keeps q2 as its denominator
+        x1, x2 = PhaseExpr.coord(2, 0), PhaseExpr.coord(2, 1)
+        num = PhaseExpr(2, {0: rfrom_poly(pvar(0, 65535))}) * x2 * x2
+        got = num / (x1 * x1 + x2 * x2)
+        pt = random_circle_point(2, random.Random(8))
+        a, b = pt.xvals
+        value = got.evaluate(pt, 0)
+        assert value.re == a ** 65535 * b * b / (a * a + b * b) != 0
+        assert value.im == 0
+
     def test_star_past_16_bit_exponents_raises(self):
         # the hbar shift of the first-order term used to wrap hbar**65536
         # around to 1, so this commutator returned -i
@@ -209,6 +235,20 @@ class TestHbar:
             PhaseExpr.one(2).times_hbar(65536)
         top = PhaseExpr.one(2).times_hbar(65535)
         assert top.equals(PhaseExpr.hbar(2, 65535))
+
+    def test_exponents_outside_16_bits_are_refused(self):
+        # 70000 used to spill into the next field (p1**4464*p2), -1 to make
+        # a negative key printed as p1**65535*p2**65535, and hbar**70000
+        # to print as hbar**4464
+        one = {0: (1, 0, 1)}
+        for pexps in ((70000, 0), (-1, 0)):
+            with pytest.raises(DomainError):
+                normalize_terms(2, [(pexps, one, 0, (one, {}))])
+        for power in (70000, -1):
+            with pytest.raises(DomainError):
+                PhaseExpr.hbar(2, power)
+        assert PhaseExpr.hbar(2, 65535).equals(
+            PhaseExpr.one(2).times_hbar(65535))
 
     def test_negative_hbar_power_raises(self):
         # times_ihbar(-1) used to shift x2 into a key of -4294901760, whose

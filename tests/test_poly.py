@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from starnambu.errors import DomainError
 from starnambu.gauss import QONE, qnorm
-from starnambu.poly import (PONE, pack, padd, pconst, pderive, pdivide_ihbar,
-                            pdivmod_exact, pdrop_hbar, peval, phbar, plead,
-                            pmonic, pmul, pneg, pscale, psub, pvar,
-                            unpack)
+from starnambu.poly import (FIELDS, MASK, PONE, pack, padd, pconst, pderive,
+                            pdivide_ihbar, pdivmod_exact, pdrop_hbar, peval,
+                            phbar, plead, pmonic, pmul, pneg, pscale,
+                            pshift_hbar, psub, pvar, unpack)
+
+try:
+    from hypothesis import Phase, given, settings, strategies as st
+except ImportError:  # the kernel property tests below are skipped
+    st = None
 
 
 def rand_poly(rng, nvars=2, terms=4, deg=3):
@@ -112,3 +118,103 @@ def test_printing_smoke():
 
 def test_const_zero_is_empty():
     assert pconst((0, 0, 1)) == {}
+
+
+def test_exact_division_past_16_bit_exponents():
+    # x1**65535*x2**2 over x2**2 + x1**2: the first remainder term is
+    # x1**65537, which only a non-multiple can form
+    q2 = padd(pvar(0, 2), pvar(1, 2))
+    f = pmul(pvar(0, MASK), pvar(1, 2))
+    assert pdivmod_exact(f, q2, 3) is None
+    top = pvar(0, MASK - 2)
+    assert pdivmod_exact(pmul(top, q2), q2, 3) == top
+
+
+def test_packers_refuse_exponents_outside_16_bits():
+    for bad in (MASK + 1, -1):
+        for make in (lambda e: pack((0, e)), lambda e: pvar(1, e),
+                     lambda e: phbar(2, e)):
+            with pytest.raises(DomainError):
+                make(bad)
+    assert unpack(pack((MASK, 0, MASK)), 3) == (MASK, 0, MASK)
+    # GUARD covers every field the packers admit
+    with pytest.raises(DomainError):
+        pvar(FIELDS)
+    with pytest.raises(DomainError):
+        pmul(pvar(FIELDS - 1, MASK), pvar(FIELDS - 1))
+
+
+if st is None:
+    def test_kernel_overflow_properties():
+        pytest.skip("needs hypothesis")
+else:
+    NFIELDS = 3  # x1, x2, hbar
+
+    # No shrink phase, as in test_bracket_folds.py.
+    SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                        database=None,
+                        phases=[p for p in Phase if p is not Phase.shrink])
+
+    # exponents at both ends of the field and about half of MASK, so
+    # that pair sums fall on either side of it
+    EXPONENTS = st.one_of(st.integers(0, 2), st.integers(MASK - 2, MASK),
+                          st.integers(MASK // 2 - 1, MASK // 2 + 1))
+
+    @st.composite
+    def sparse_polys(draw):
+        """{exponent tuple: scalar triple} with small Gaussian rationals."""
+        out = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = tuple(draw(EXPONENTS) for _ in range(NFIELDS))
+            c = qnorm(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)),
+                      draw(st.integers(1, 3)))
+            if c[:2] != (0, 0):
+                out[exps] = c
+        return out
+
+    def fractions(f):
+        """f with exponent tuples for keys and (re, im) Fraction pairs."""
+        return {e: (Fraction(a, d), Fraction(b, d))
+                for e, (a, b, d) in f.items()}
+
+    def naive_product(f, g):
+        """The product on exponent tuples, with no bound on an exponent,
+        and whether some pair of terms passes MASK."""
+        out, passes = {}, False
+        for e1, (a1, b1) in fractions(f).items():
+            for e2, (a2, b2) in fractions(g).items():
+                e = tuple(u + v for u, v in zip(e1, e2))
+                passes = passes or max(e) > MASK
+                a, b = out.get(e, (0, 0))
+                out[e] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
+        return {e: c for e, c in out.items() if c != (0, 0)}, passes
+
+    def packed(f):
+        return {pack(e): c for e, c in f.items()}
+
+    def check_against_oracle(compute, want, passes):
+        """compute() raises only when some pair passes MASK, always when a
+        surviving monomial does, and otherwise equals the oracle."""
+        survivor_passes = any(max(e) > MASK for e in want)
+        try:
+            got = compute()
+        except DomainError:
+            assert passes
+            return
+        assert not survivor_passes
+        assert fractions({unpack(k, NFIELDS): c for k, c in got.items()}) \
+            == want
+
+    @SETTINGS
+    @given(f=sparse_polys(), g=sparse_polys())
+    def test_pmul_overflow_properties(f, g):
+        want, passes = naive_product(f, g)
+        check_against_oracle(lambda: pmul(packed(f), packed(g)), want, passes)
+
+    @SETTINGS
+    @given(f=sparse_polys(), k=EXPONENTS)
+    def test_pshift_hbar_overflow_properties(f, k):
+        want = {e[:-1] + (e[-1] + k,): c for e, c in fractions(f).items()}
+        passes = any(e[-1] > MASK for e in want)
+        check_against_oracle(lambda: pshift_hbar(packed(f), NFIELDS - 1, k),
+                             want, passes)
