@@ -29,7 +29,7 @@ from .operators import (ExactMatrix, SectorStack, chiral_block_rep,
                         chiral_tensor_rep, commutator as mcomm,
                         matrix_algebra, naive_bracket, number_matrix,
                         oscillator_bracket_entries, oscillator_theorem_check,
-                        random_sector_matrix, su2_cartesian,
+                        random_sector_matrix, su2_cartesian, su2_casimir,
                         total_number_matrix)
 from .phase import PhaseExpr
 
@@ -480,13 +480,9 @@ def _run_ch_03(ctx: RunContext) -> CheckOutcome:
 
 
 def _run_ch_04(ctx: RunContext) -> CheckOutcome:
-    n = 3
-    one = PhaseExpr.one(n)
-    x = [PhaseExpr.coord(n, i) for i in range(n)]
-    r = one - sum((xi * xi for xi in x), PhaseExpr.zero(n))
-    expected = (one / r - one.scale_fraction(7)) \
-        .times_hbar(2).scale_fraction(Fraction(1, 8))
-    return check_quantum_correction(get_model("chiral-s3"), expected)
+    # (hbar**2/8)(1/(1 - q**2) - 7): 7 = 1 + n*(n - 1) at n = 3
+    return check_quantum_correction(get_model("chiral-s3"),
+                                    _sphere_correction(3))
 
 
 def _run_ch_05(ctx: RunContext) -> CheckOutcome:
@@ -735,7 +731,7 @@ def _run_qn_06(ctx: RunContext) -> CheckOutcome:
         q = list(su2_cartesian(two_j))
         alg = matrix_algebra(d)
         # read off f from commutators and contract: f_abc f_bcd = 2 delta_ad
-        casimir = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+        casimir = su2_casimir(two_j)
         tri = ExactMatrix.zeros(d)
         for a in range(3):
             for b in range(3):

@@ -217,6 +217,20 @@ _LETTER_VARS = {"x": ("x", 1), "y": ("x", 2), "z": ("x", 3),
                 "px": ("p", 1), "py": ("p", 2), "pz": ("p", 3)}
 
 
+def _decode_var(base: str, indices: Tuple[int, ...]):
+    """(kind, a) when the name is coordinate ("x") or momentum ("p") number
+    a, 1-based and not range-checked: x[i], Q[i], p[i], x1, Q1, p1 and the
+    letter names; None for any other name."""
+    if len(indices) == 1 and base in ("x", "p", "Q"):
+        return ("p" if base == "p" else "x", indices[0])
+    if indices:
+        return None
+    m = _COMPACT_VAR.match(base)
+    if m:
+        return ("p" if m.group(1) == "p" else "x", int(m.group(2)))
+    return _LETTER_VARS.get(base)
+
+
 @dataclass
 class Binding:
     """Name resolution context: a model and/or extra named expressions."""
@@ -246,24 +260,15 @@ class Binding:
         key = base + "".join(str(i) for i in indices)
         if key in self.extra:
             return self.extra[key]
-        if base in ("x", "p", "Q") and len(indices) == 1:
-            a = indices[0]
-            if not 1 <= a <= n:
+        var = _decode_var(base, indices)
+        if var is not None:
+            kind, a = var
+            if 1 <= a <= n:
+                return (PhaseExpr.coord(n, a - 1) if kind == "x"
+                        else PhaseExpr.momentum(n, a - 1))
+            if indices:  # x[i] out of range; x4 or z may still be a charge
                 raise UnknownName(key, span)
-            return (PhaseExpr.coord(n, a - 1) if base in ("x", "Q")
-                    else PhaseExpr.momentum(n, a - 1))
         if not indices:
-            m = _COMPACT_VAR.match(base)
-            if m:
-                a = int(m.group(2))
-                if 1 <= a <= n:
-                    return (PhaseExpr.coord(n, a - 1) if m.group(1) in ("x", "Q")
-                            else PhaseExpr.momentum(n, a - 1))
-            if base in _LETTER_VARS:
-                kind, a = _LETTER_VARS[base]
-                if a <= n:
-                    return (PhaseExpr.coord(n, a - 1) if kind == "x"
-                            else PhaseExpr.momentum(n, a - 1))
             if base == "s":
                 return PhaseExpr.radical_s(n)
             if base == "w":
@@ -284,18 +289,10 @@ def _as_var(node: AstNode, binding: Binding):
     """Interpret a name node as a differentiation variable."""
     if node.kind != "name":
         raise ArityError("diff needs a coordinate or momentum name")
-    base, indices = node.base, node.indices
-    if base in ("x", "Q") and len(indices) == 1:
-        return ("x", indices[0] - 1)
-    if base == "p" and len(indices) == 1:
-        return ("p", indices[0] - 1)
-    m = _COMPACT_VAR.match(base) if not indices else None
-    if m:
-        return ("x" if m.group(1) in ("x", "Q") else "p", int(m.group(2)) - 1)
-    if base in _LETTER_VARS and not indices:
-        kind, a = _LETTER_VARS[base]
-        return (kind, a - 1)
-    raise ArityError(f"cannot differentiate with respect to {base!r}")
+    var = _decode_var(node.base, node.indices)
+    if var is None:
+        raise ArityError(f"cannot differentiate with respect to {node.base!r}")
+    return (var[0], var[1] - 1)
 
 
 _BINARY = {"add": operator.add, "sub": operator.sub,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
 from .gauss import qis_zero, qpow_i
-from .poly import PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
+from .poly import MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
@@ -30,6 +30,14 @@ def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
     if num == 0:
         return {}
     return {power: qnorm(num, 0, den)}
+
+
+def _checked_entry(e: Poly) -> Poly:
+    """A copy of an entry given from outside; DomainError unless every key
+    is an hbar power 0..MASK, the one field of the n = 0 ring."""
+    if any(not 0 <= k <= MASK for k in e):
+        raise DomainError(f"matrix entry key outside hbar**0..hbar**{MASK}")
+    return dict(e)
 
 
 class ExactMatrix:
@@ -53,7 +61,7 @@ class ExactMatrix:
             if len(row) != dim:
                 raise DimensionError("matrix must be square")
         self.dim = dim
-        self._rows = tuple({j: dict(e) for j, e in enumerate(row) if e}
+        self._rows = tuple({j: _checked_entry(e) for j, e in enumerate(row) if e}
                            for row in rows)
 
     @classmethod
@@ -76,7 +84,7 @@ class ExactMatrix:
     def unit(cls, dim: int, i: int, j: int, entry: Optional[Poly] = None) -> "ExactMatrix":
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError("matrix index out of range")
-        e = dict(PONE) if entry is None else dict(entry)
+        e = dict(PONE) if entry is None else _checked_entry(entry)
         return cls._of(dim, ({j: e} if r == i and e else {}
                              for r in range(dim)))
 
@@ -86,7 +94,7 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence[Poly]) -> "ExactMatrix":
-        return cls._of(len(entries), ({i: dict(e)} if e else {}
+        return cls._of(len(entries), ({i: _checked_entry(e)} if e else {}
                                       for i, e in enumerate(entries)))
 
     def _check(self, other: "ExactMatrix"):

@@ -79,10 +79,11 @@ def unpack(key: int, nfields: int) -> Tuple[int, ...]:
 
 
 def padd(f: Poly, g: Poly) -> Poly:
+    """f + g, or either operand itself when the other is zero."""
     if not f:
-        return dict(g)
+        return g
     if not g:
-        return dict(f)
+        return f
     out = dict(f)
     get = out.get
     for k, c in g.items():
@@ -199,10 +200,6 @@ def pmul(f: Poly, g: Poly) -> Poly:
                 out[k] = (sa // cf, sb // cf, sd // cf) if cf > 1 \
                     else (sa, sb, sd)
     return out
-
-
-def pis_zero(f: Poly) -> bool:
-    return not f
 
 
 def pderive(f: Poly, index: int) -> Poly:

@@ -7,11 +7,14 @@ exponent) pairs of monic factors, () meaning 1.  ``rmake`` splits a new
 denominator into powers of rbar = q**2 - 1 (the monic associate of
 1 - q**2), powers of q2 = sum x_i**2 and one remaining factor; after that
 every operation is exponent bookkeeping over the tuple.  The polynomial D is
-built only by ``rdenom``, cached by value.  ``rmul``, ``rmake`` and
-``rderive`` reduce their result; ``rderive_raw`` does not.
-Every sum of products (a product of phase expressions, a Poisson bracket, a
-star sum, a Jacobian minor) is accumulated raw with ``racc``, and ``rsums``
-applies s**2 = r and reduces once per coefficient.  Sums are not reduced.
+built only by ``rdenom``, cached by value.
+There is one merge rule and one product rule.  ``_merge`` brings two raw
+sums over a common denominator; ``racc`` adds a product to a raw sum, and
+``rsums`` applies s**2 = r and reduces once per coefficient.  Every sum of
+products (a product of phase expressions, a Poisson bracket, a star sum, a
+Jacobian minor) is accumulated that way.  ``radd`` merges two one-term
+sums and ``rmul`` is a one-key raw sum.  ``rmul``, ``rmake`` and
+``rderive`` reduce their result; sums and ``rderive_raw`` do not.
 Equality is decided by cross-multiplication, so reduction affects
 performance and printed form only.  Cancellation is decided by exact trial
 division alone, the s-part first.  Exponent overflow is caught by
@@ -20,13 +23,14 @@ division alone, the s-part first.  Exponent overflow is caught by
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Tuple
 
 from .errors import DivisionByZero, EvaluationPole, InexactDivision, NotInvertible
 from .gauss import QONE, qdiv, qinv, qis_zero, qmul, qadd, qfromfrac, qpow_i
 from .poly import (PONE, Poly, padd, pconst, pderive,
                    pdivide_ihbar, pdivisible_hbar, pdivmod_exact, pdrop_hbar,
-                   peval, phas_hbar, pis_zero, pmonic, pmul, pneg, pscale,
+                   peval, phas_hbar, pmonic, pmul, pneg, pscale,
                    pshift_hbar, psub, pvar)
 
 Den = Tuple[Tuple[tuple, int], ...]
@@ -44,39 +48,25 @@ class RadicalCoeff(NamedTuple):
     denom: Den
 
 
-_POLY_ONE = {0: QONE}
-_Q2_CACHE = {}
-_R_CACHE = {}
-_RBAR_CACHE = {}
-
-
+@cache
 def q2_poly(n: int) -> Poly:
     """sum of x_i**2."""
-    p = _Q2_CACHE.get(n)
-    if p is None:
-        p = {}
-        for i in range(n):
-            p = padd(p, pmul(pvar(i), pvar(i)))
-        _Q2_CACHE[n] = p
+    p = {}
+    for i in range(n):
+        p = padd(p, pmul(pvar(i), pvar(i)))
     return p
 
 
+@cache
 def r_poly(n: int) -> Poly:
     """1 - sum of x_i**2, the square of s."""
-    p = _R_CACHE.get(n)
-    if p is None:
-        p = psub(dict(PONE), q2_poly(n))
-        _R_CACHE[n] = p
-    return p
+    return psub(PONE, q2_poly(n))
 
 
+@cache
 def rbar_poly(n: int) -> Poly:
     """q**2 - 1, the monic associate of 1 - q**2."""
-    p = _RBAR_CACHE.get(n)
-    if p is None:
-        p = pneg(r_poly(n))
-        _RBAR_CACHE[n] = p
-    return p
+    return pneg(r_poly(n))
 
 
 def _is_one(p: Poly) -> bool:
@@ -86,8 +76,8 @@ def _is_one(p: Poly) -> bool:
 # -- factored denominators -----------------------------------------------
 
 # Caches keyed by value: D per denominator, rderive's plan per
-# (denominator, variable) and radd's per pair of denominators.
-_DENOMS: dict = {(): _POLY_ONE}
+# (denominator, variable) and _merge's per pair of denominators.
+_DENOMS: dict = {(): PONE}
 _DERIVE_PLANS: dict = {}
 _ADD_PLANS: dict = {}
 
@@ -102,7 +92,7 @@ def _freeze(p: Poly) -> tuple:
 
 def _expand(pairs) -> Poly:
     """The product of factor**exponent over (factor, exponent) pairs."""
-    out = _POLY_ONE
+    out = PONE
     for f, e in pairs:
         for _ in range(e):
             out = pmul(out, dict(f))
@@ -220,14 +210,14 @@ def _absorb(exps: dict, other: dict, n: int) -> Poly:
     joined = {}  # g: (product of what joined g, g**b over that product)
     for f, e in [(f, e) for f, e in exps.items() if f not in other]:
         for g, b in targets:
-            p = pmul(joined.get(g, (_POLY_ONE,))[0], _expand([(f, e)]))
+            p = pmul(joined.get(g, (PONE,))[0], _expand([(f, e)]))
             q = pdivmod_exact(_expand([(g, b)]), p, n + 1)
             if q is not None:
                 joined[g] = (p, q)
                 del exps[f]
                 exps[g] = b
                 break
-    mult = _POLY_ONE
+    mult = PONE
     for _, q in joined.values():
         mult = pmul(mult, q)
     return mult
@@ -255,42 +245,6 @@ def _add_plan(d1: Den, d2: Den, n: int):
     return plan
 
 
-def radd(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    a1, b1, d = u
-    a2, b2, d2 = v
-    if d is not d2 and d != d2:
-        d, m1, m2 = _add_plan(d, d2, n)
-        if not _is_one(m1):
-            a1, b1 = pmul(a1, m1), pmul(b1, m1)
-        if not _is_one(m2):
-            a2, b2 = pmul(a2, m2), pmul(b2, m2)
-    a, b = padd(a1, a2), padd(b1, b2)
-    if not a and not b:
-        return RZERO
-    return RadicalCoeff(a, b, d)
-
-
-def rsub(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    return radd(u, rneg(v), n)
-
-
-def rneg(u: RadicalCoeff) -> RadicalCoeff:
-    return RadicalCoeff(pneg(u[0]), pneg(u[1]), u[2])
-
-
-def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    """The product u*v, denominator exponents added, reduced once."""
-    a1, b1, d1 = u
-    a2, b2, d2 = v
-    if not b1 and not b2:
-        num_a = pmul(a1, a2)
-        num_b: Poly = {}
-    else:
-        num_a = padd(pmul(a1, a2), pmul(pmul(b1, b2), r_poly(n)))
-        num_b = padd(pmul(a1, b2), pmul(b1, a2))
-    return rreduce(RadicalCoeff(num_a, num_b, _den_mul(d1, d2)), n)
-
-
 def _den_mul(d1: Den, d2: Den) -> Den:
     """The denominator of a product: exponents added per factor."""
     if not d1 or not d2:
@@ -301,11 +255,6 @@ def _den_mul(d1: Den, d2: Den) -> Den:
     return tuple(sorted(exps.items()))
 
 
-def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
-    """Cancel what the denominator of u shares with both numerators."""
-    return _cancel(*u, n) if u[2] else u
-
-
 # -- raw sums of products ------------------------------------------------
 #
 # A raw sum of products u*v is held per key as (aa, bb, ab, den): the sums
@@ -314,17 +263,8 @@ def rreduce(u: RadicalCoeff, n: int) -> RadicalCoeff:
 # rather than one per product, and the key is reduced once.
 
 
-def _plus(f: Poly, g: Poly) -> Poly:
-    """f + g, or either operand itself when the other is zero."""
-    if not g:
-        return f
-    if not f:
-        return g
-    return padd(f, g)
-
-
 def _merge(x: tuple, y: tuple, n: int) -> tuple:
-    """The sum of two raw sums, over radd's common denominator."""
+    """The sum of two raw sums, over ``_add_plan``'s common denominator."""
     a1, b1, c1, d1 = x
     a2, b2, c2, d2 = y
     if d1 is not d2 and d1 != d2:
@@ -333,7 +273,7 @@ def _merge(x: tuple, y: tuple, n: int) -> tuple:
             a1, b1, c1 = pmul(a1, m1), pmul(b1, m1), pmul(c1, m1)
         if not _is_one(m2):
             a2, b2, c2 = pmul(a2, m2), pmul(b2, m2), pmul(c2, m2)
-    return _plus(a1, a2), _plus(b1, b2), _plus(c1, c2), d1
+    return padd(a1, a2), padd(b1, b2), padd(c1, c2), d1
 
 
 def racc(acc: dict, key, u: RadicalCoeff, v: RadicalCoeff, n: int) -> None:
@@ -342,7 +282,7 @@ def racc(acc: dict, key, u: RadicalCoeff, v: RadicalCoeff, n: int) -> None:
     a2, b2, d2 = v
     ab = pmul(a1, b2) if b2 else {}
     if b1:
-        ab = _plus(ab, pmul(b1, a2))
+        ab = padd(ab, pmul(b1, a2))
     term = (pmul(a1, a2), pmul(b1, b2) if b1 and b2 else {}, ab,
             _den_mul(d1, d2))
     prev = acc.get(key)
@@ -359,13 +299,36 @@ def rsums(pos: dict, neg: dict, weight: int, n: int) -> dict:
     r = r_poly(n)
     out = {}
     for key, (aa, bb, ab, d) in sums.items():
-        a = _plus(aa, pmul(bb, r))
+        a = padd(aa, pmul(bb, r))
         if not a and not ab:
             continue
         if weight != 1:
             a, ab = pscale(a, (weight, 0, 1)), pscale(ab, (weight, 0, 1))
         out[key] = _cancel(a, ab, d, n) if d else RadicalCoeff(a, ab, d)
     return out
+
+
+def radd(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    """u + v as a one-term raw sum each, merged by ``_merge``."""
+    a, _, b, d = _merge((u[0], {}, u[1], u[2]), (v[0], {}, v[1], v[2]), n)
+    if not a and not b:
+        return RZERO
+    return RadicalCoeff(a, b, d)
+
+
+def rsub(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    return radd(u, rneg(v), n)
+
+
+def rneg(u: RadicalCoeff) -> RadicalCoeff:
+    return RadicalCoeff(pneg(u[0]), pneg(u[1]), u[2])
+
+
+def rmul(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
+    """The product u*v: a one-key raw sum, reduced once by ``rsums``."""
+    acc: dict = {}
+    racc(acc, 0, u, v, n)
+    return rsums(acc, {}, 1, n).get(0, RZERO)
 
 
 def rscale(u: RadicalCoeff, c) -> RadicalCoeff:
@@ -385,24 +348,11 @@ def rinv(u: RadicalCoeff, n: int) -> RadicalCoeff:
         num_a, num_b = pmul(d, a), pneg(pmul(d, b))
     else:
         den, num_a, num_b = a, d, {}
-    if pis_zero(den):
+    if not den:
         raise DivisionByZero("inverse of zero coefficient")
     if phas_hbar(den, n):
         raise NotInvertible("inverse would need an hbar-dependent denominator")
     return rmake(num_a, num_b, den, n)
-
-
-def rdiv(u: RadicalCoeff, v: RadicalCoeff, n: int) -> RadicalCoeff:
-    return rmul(u, rinv(v, n), n)
-
-
-def rpow(u: RadicalCoeff, k: int, n: int) -> RadicalCoeff:
-    if k < 0:
-        return rpow(rinv(u, n), -k, n)
-    out = RONE
-    for _ in range(k):
-        out = rmul(out, u, n)
-    return out
 
 
 def requal(u: RadicalCoeff, v: RadicalCoeff, n: int) -> bool:
@@ -429,7 +379,7 @@ def _derive_plan(den: Den, index: int, n: int, with_s: bool):
         exps = dict(den)
         if with_s:
             exps.setdefault(rbar, 0)
-        big, ca, cb, new = _POLY_ONE, {}, {}, []
+        big, ca, cb, new = PONE, {}, {}, []
         for f, e in sorted(exps.items()):
             p = dict(f)
             dp = pderive(p, index)
@@ -459,7 +409,7 @@ def rderive_raw(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
         return RadicalCoeff(da, {}, ()) if da else RZERO
     big, ca, cb, new = _derive_plan(den, index, n, bool(b))
     da, db = pderive(a, index), pderive(b, index)
-    if big is not _POLY_ONE:
+    if big is not PONE:
         da, db = pmul(da, big), pmul(db, big)
     num_a = psub(da, pmul(a, ca))
     num_b = psub(db, pmul(b, cb)) if b else {}
@@ -469,8 +419,9 @@ def rderive_raw(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
 
 
 def rderive(u: RadicalCoeff, index: int, n: int) -> RadicalCoeff:
-    """d/dx_index, reduced once (``rderive_raw``, then ``rreduce``)."""
-    return rreduce(rderive_raw(u, index, n), n)
+    """d/dx_index, reduced once: ``rderive_raw``, then ``_cancel``."""
+    u = rderive_raw(u, index, n)
+    return _cancel(*u, n) if u[2] else u
 
 
 def rsubst_hbar_zero(u: RadicalCoeff, n: int) -> RadicalCoeff:

@@ -75,6 +75,22 @@ class TestMatrixRing:
             top.times_hbar(1)
         assert ExactMatrix.zeros(2).times_hbar(65535).is_zero()
 
+    def test_entry_keys_outside_the_hbar_field_raise(self):
+        # a key in the next field, {1 << 17: 1}, printed as 1 yet compared
+        # unequal to 1, and the key 65539 printed as hbar*hbar*hbar
+        for bad in ({1 << 17: (1, 0, 1)}, {65539: (1, 0, 1)},
+                    {-1: (1, 0, 1)}):
+            with pytest.raises(DomainError):
+                ExactMatrix.unit(2, 0, 1, bad)
+            with pytest.raises(DomainError):
+                ExactMatrix.diagonal([{0: (1, 0, 1)}, bad])
+            with pytest.raises(DomainError):
+                ExactMatrix([[{}, bad], [{}, {}]])
+        top = {65535: (2, 0, 1)}
+        assert ExactMatrix.unit(2, 0, 1, top) == ExactMatrix(
+            [[{}, top], [{}, {}]])
+        assert ExactMatrix.diagonal([top, {}]).entry(0, 0) == top
+
 
 class TestFock:
     def test_basis_ordering(self):
