@@ -265,7 +265,7 @@ def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
         del minor  # minor refers to itself: free memo now, not at the next gc
 
 
-def symplectic_trace(entries: Sequence[PhaseExpr], n: Optional[int] = None) -> PhaseExpr:
+def symplectic_trace(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     """Contract a rank-2k bracket down from the full 2N-dimensional Jacobian.
 
     Appends N-k coordinate/momentum pairs in all ways and sums: summing
@@ -279,7 +279,7 @@ def symplectic_trace(entries: Sequence[PhaseExpr], n: Optional[int] = None) -> P
         raise ArityError("symplectic trace needs at least one entry")
     if len(entries) % 2:
         raise ArityError("symplectic trace needs an even number of entries")
-    dim = entries[0].n if n is None else n
+    dim = entries[0].n
     k = len(entries) // 2
     if k > dim:
         raise ArityError(f"rank {2 * k} exceeds phase-space dimension {2 * dim}")

@@ -22,8 +22,8 @@ from .brackets import (SubsetCache, jordan, moyal, nambu_jacobian,
 from .errors import StarNambuError, UsageError
 from .lang import print_canonical
 from .models import (Model, chiral_dreibein, christoffel_correction,
-                     current_algebra_omega, eps3, fab, get_model,
-                     half_charges, h_other, similarity_identities,
+                     current_algebra_omega, eps_sum, fab, frame_current,
+                     get_model, half_charges, h_other, similarity_identities,
                      vielbein_current)
 from .operators import (ExactMatrix, SectorStack, chiral_block_rep,
                         chiral_tensor_rep, commutator as mcomm,
@@ -332,13 +332,11 @@ def _run_sn_04(ctx: RunContext) -> CheckOutcome:
     pairs = []
     for n in (2, 3):
         m = get_model(f"sphere:{n}")
-        p = [PhaseExpr.momentum(n, i) for i in range(n)]
         for sign in ("-", "+"):
-            g = sphere_geometry(n, sign)
+            v = sphere_geometry(n, sign).vielbein_upper
             total = PhaseExpr.zero(n)
             for i in range(n):
-                cur = sum((p[a] * g.vielbein_upper[a][i] for a in range(n)),
-                          PhaseExpr.zero(n))
+                cur = frame_current(v, i)
                 total = total + cur * cur
             pairs.append((f"N={n} sign {sign}: H = (pV)(Vp)/2",
                           total.scale_fraction(Fraction(1, 2)), m.h_classical))
@@ -402,16 +400,14 @@ def _run_sn_08(ctx: RunContext) -> CheckOutcome:
 def _run_ch_01(ctx: RunContext) -> CheckOutcome:
     m = get_model("chiral-s3")
     lh, rh = half_charges(m)
+    zero = PhaseExpr.zero(3)
     pairs = []
     for i in range(3):
         for j in range(3):
-            want_r = PhaseExpr.zero(3)
-            want_l = PhaseExpr.zero(3)
-            for k in range(3):
-                e = eps3(i, j, k)
-                if e:
-                    want_r = want_r + m.charge(f"R{k + 1}").scale_fraction(2 * e)
-                    want_l = want_l + m.charge(f"Lch{k + 1}").scale_fraction(2 * e)
+            want_r = eps_sum(i, j, lambda k: m.charge(f"R{k + 1}")
+                             .scale_fraction(2), zero)
+            want_l = eps_sum(i, j, lambda k: m.charge(f"Lch{k + 1}")
+                             .scale_fraction(2), zero)
             pairs.append((f"{{R{i + 1},R{j + 1}}} = 2 eps R",
                           poisson(m.charge(f"R{i + 1}"), m.charge(f"R{j + 1}")),
                           want_r))
@@ -420,14 +416,10 @@ def _run_ch_01(ctx: RunContext) -> CheckOutcome:
                           want_l))
             pairs.append((f"{{L{i + 1},R{j + 1}}} = 0",
                           poisson(m.charge(f"Lch{i + 1}"), m.charge(f"R{j + 1}")),
-                          PhaseExpr.zero(3)))
-            want_half = PhaseExpr.zero(3)
-            for k in range(3):
-                e = eps3(i, j, k)
-                if e:
-                    want_half = want_half + lh[k].times_ihbar(1).scale_fraction(e)
+                          zero))
             pairs.append((f"half-normalized [L{i + 1},L{j + 1}]* = i hbar eps L",
-                          comm(lh[i], lh[j]), want_half))
+                          comm(lh[i], lh[j]),
+                          eps_sum(i, j, lambda k: lh[k].times_ihbar(1), zero)))
     out = _expect_equal(pairs)
     if out.status == "pass":
         out.detail = ("su(2) x su(2) closure; model charges close with "
@@ -460,7 +452,7 @@ def _run_ch_03(ctx: RunContext) -> CheckOutcome:
         dvdv = PhaseExpr.zero(3)
         gpp = PhaseExpr.zero(3)
         for i in range(3):
-            cur = sum((p[a] * v[a][i] for a in range(3)), PhaseExpr.zero(3))
+            cur = frame_current(v, i)
             total = total + star(cur, cur)
         for a in range(3):
             for b in range(3):
@@ -732,27 +724,20 @@ def _run_qn_06(ctx: RunContext) -> CheckOutcome:
         alg = matrix_algebra(d)
         # read off f from commutators and contract: f_abc f_bcd = 2 delta_ad
         casimir = su2_casimir(two_j)
-        tri = ExactMatrix.zeros(d)
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    e = eps3(a, b, c)
-                    if e:
-                        term = qnb([q[a], q[b], q[c]], alg).value
-                        tri = tri + term if e > 0 else tri - term
-        if tri != casimir.times_ihbar(1).scale_fraction(6):
+        zero = ExactMatrix.zeros(d)
+
+        def trilinear(head):
+            """sum_abc eps_abc [*head, Qa, Qb, Qc]."""
+            return sum((eps_sum(a, b, lambda c: qnb(head + [q[a], q[b], q[c]],
+                                                    alg).value, zero)
+                        for a in range(3) for b in range(3)), zero)
+
+        if trilinear([]) != casimir.times_ihbar(1).scale_fraction(6):
             return _fail(f"2j={two_j}: trilinear reduction to the Casimir fails")
         for _ in range(ctx.repeats(2)):
             a_mat = ExactMatrix.from_int_rows(
                 [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
-            lhs = ExactMatrix.zeros(d)
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        e = eps3(a, b, c)
-                        if e:
-                            term = qnb([a_mat, q[a], q[b], q[c]], alg).value
-                            lhs = lhs + term if e > 0 else lhs - term
+            lhs = trilinear([a_mat])
             rhs = mcomm(a_mat, casimir).times_ihbar(1).scale_fraction(6)
             if lhs != rhs:
                 return _fail(f"2j={two_j}: f_abc[A,Qa,Qb,Qc] !="
@@ -769,19 +754,14 @@ def _run_qn_07(ctx: RunContext) -> CheckOutcome:
     alg = phase_algebra(3)
     tail = [m.charge("A1"), m.charge("I3"), m.charge("A2"),
             m.charge("I1"), m.charge("A3")]
+    zero = PhaseExpr.zero(3)
     cache = SubsetCache()
     for a in range(1, 4):
         for b in range(1, 4):
             probe = fab(m, a, b, "cartesian")
             lhs = qnb([probe] + tail, alg, cache=cache).value
-            rhs = PhaseExpr.zero(3)
-            for c in range(1, 4):
-                e1 = eps3(b - 1, 1, c - 1)
-                if e1:
-                    rhs = rhs + fab(m, a, c, "cartesian").scale_fraction(e1)
-                e2 = eps3(a - 1, 1, c - 1)
-                if e2:
-                    rhs = rhs - fab(m, c, b, "cartesian").scale_fraction(e2)
+            rhs = eps_sum(b - 1, 1, lambda c: fab(m, a, c + 1, "cartesian"), zero) \
+                - eps_sum(a - 1, 1, lambda c: fab(m, c + 1, b, "cartesian"), zero)
             rhs = rhs.times_hbar(5).times_i().scale_fraction(4)
             if not lhs.equals(rhs):
                 return _fail(f"six-bracket of f_{a}{b} misses 4 i hbar^5 "
@@ -870,6 +850,10 @@ def _run_qn_11(ctx: RunContext) -> CheckOutcome:
     cache = SubsetCache()
     tail = [il, right[0], right[1], left[0], left[1]]
 
+    def equal_sigmas(row, mid, col):
+        return _sigma_of(lz, rz, row, mid) == _sigma_of(lz, rz, mid, col) \
+            == _sigma_of(lz, rz, row, col)
+
     def leibniz_gap(row, mid, col):
         f = ExactMatrix.unit(dim, row, mid)
         g = ExactMatrix.unit(dim, mid, col)
@@ -880,20 +864,14 @@ def _run_qn_11(ctx: RunContext) -> CheckOutcome:
 
     equal_triples = [(0, 0, 0), (1, 1, 1), (6, 6, 6)]
     for trip in equal_triples:
-        s12 = _sigma_of(lz, rz, trip[0], trip[1])
-        s23 = _sigma_of(lz, rz, trip[1], trip[2])
-        s13 = _sigma_of(lz, rz, trip[0], trip[2])
-        if not (s12 == s23 == s13):
+        if not equal_sigmas(*trip):
             return _fail(f"triple {trip} was expected to have equal sigmas")
         if not leibniz_gap(*trip).is_zero():
             return _fail(f"leibniz rule fails despite equal sigmas on {trip}")
     violating = [(0, 5, 9), (1, 6, 3)]
     found = False
     for trip in violating:
-        s12 = _sigma_of(lz, rz, trip[0], trip[1])
-        s23 = _sigma_of(lz, rz, trip[1], trip[2])
-        s13 = _sigma_of(lz, rz, trip[0], trip[2])
-        if s12 == s23 == s13:
+        if equal_sigmas(*trip):
             continue
         if not leibniz_gap(*trip).is_zero():
             found = True
@@ -902,6 +880,14 @@ def _run_qn_11(ctx: RunContext) -> CheckOutcome:
         return _fail("no unequal-sigma counterexample violated the rule")
     return _pass("leibniz holds at sigma_12 = sigma_23 = sigma_13 and breaks "
                  "on an unequal-sigma product, as required")
+
+
+def _triple_comms(g: PhaseExpr, u, w: PhaseExpr) -> PhaseExpr:
+    """sum_i [[[g, u_i], u_i], w]."""
+    total = PhaseExpr.zero(g.n)
+    for ui in u:
+        total = total + comm(comm(comm(g, ui), ui), w)
+    return total
 
 
 def _run_qn_12(ctx: RunContext) -> CheckOutcome:
@@ -916,22 +902,13 @@ def _run_qn_12(ctx: RunContext) -> CheckOutcome:
     pairs = []
     for _ in range(ctx.repeats(1)):
         f = random_phase(3, rng, pdeg=2, xdeg=1, terms=3, radical=False)
-        lhs = qnb([f, lh[0], lh[1], lh[2], rh[0], rh[1]], alg, cache=cache).value
-        term1 = comm(star(f, rh[2]) + star(rh[2], f), il)
-        term2 = PhaseExpr.zero(3)
-        for i in range(3):
-            term2 = term2 + comm(comm(comm(f, lh[i]), lh[i]), rh[2])
-        rhs = (term1.scale_fraction(Fraction(3, 2))
-               + term2.scale_fraction(Fraction(1, 2))).times_ihbar(2)
-        pairs.append(("left orientation: 3/2 + 1/2 resolution", lhs, rhs))
-        lhs = qnb([f, rh[0], rh[1], rh[2], lh[0], lh[1]], alg, cache=cache).value
-        term1 = comm(star(f, lh[2]) + star(lh[2], f), ir)
-        term2 = PhaseExpr.zero(3)
-        for i in range(3):
-            term2 = term2 + comm(comm(comm(f, rh[i]), rh[i]), lh[2])
-        rhs = (term1.scale_fraction(Fraction(3, 2))
-               + term2.scale_fraction(Fraction(1, 2))).times_ihbar(2)
-        pairs.append(("right orientation: 3/2 + 1/2 resolution", lhs, rhs))
+        for side, u, v, casimir in (("left", lh, rh, il), ("right", rh, lh, ir)):
+            lhs = qnb([f, u[0], u[1], u[2], v[0], v[1]], alg, cache=cache).value
+            term1 = comm(star(f, v[2]) + star(v[2], f), casimir)
+            term2 = _triple_comms(f, u, v[2])
+            rhs = (term1.scale_fraction(Fraction(3, 2))
+                   + term2.scale_fraction(Fraction(1, 2))).times_ihbar(2)
+            pairs.append((f"{side} orientation: 3/2 + 1/2 resolution", lhs, rhs))
     return _expect_equal(pairs)
 
 
@@ -939,60 +916,30 @@ def _run_qn_13(ctx: RunContext) -> CheckOutcome:
     m = get_model("chiral-s3")
     alg = phase_algebra(3)
     lh, rh = half_charges(m)
-
-    def fab_half(a, b):
-        return star(lh[a], rh[b])
-
+    f = [[star(lh[a], rh[b]) for b in range(3)] for a in range(3)]
+    zero = PhaseExpr.zero(3)
     cache = SubsetCache()
     for a in range(3):
         for b in range(3):
-            probe = fab_half(a, b)
-            rot_l = PhaseExpr.zero(3)
-            for i in range(3):
-                rot_l = rot_l + comm(comm(comm(probe, lh[i]), lh[i]), rh[2])
-            want = PhaseExpr.zero(3)
-            for c in range(3):
-                e = eps3(b, 2, c)
-                if e:
-                    want = want + fab_half(a, c).scale_fraction(2 * e)
-            if not rot_l.equals(want.times_hbar(3).times_i()):
-                return _fail(f"left triple commutators of f_{a + 1}{b + 1} "
-                             "miss 2 i hbar^3 eps_b3c f_ac",
-                             rot_l - want.times_hbar(3).times_i())
-            rot_r = PhaseExpr.zero(3)
-            for i in range(3):
-                rot_r = rot_r + comm(comm(comm(probe, rh[i]), rh[i]), lh[2])
-            want = PhaseExpr.zero(3)
-            for c in range(3):
-                e = eps3(a, 2, c)
-                if e:
-                    want = want + fab_half(c, b).scale_fraction(2 * e)
-            if not rot_r.equals(want.times_hbar(3).times_i()):
-                return _fail(f"right triple commutators of f_{a + 1}{b + 1} "
-                             "miss 2 i hbar^3 eps_a3c f_cb",
-                             rot_r - want.times_hbar(3).times_i())
-            lhs = qnb([probe, lh[0], lh[1], lh[2], rh[0], rh[1]], alg,
-                      cache=cache).value
-            want = PhaseExpr.zero(3)
-            for c in range(3):
-                e = eps3(b, 2, c)
-                if e:
-                    want = want + fab_half(a, c).scale_fraction(e)
-            if not lhs.equals(-want.times_hbar(5).times_i()):
-                return _fail(f"six-bracket total for f_{a + 1}{b + 1} is not "
-                             "-i hbar^5 eps_b3c f_ac",
-                             lhs + want.times_hbar(5).times_i())
-            lhs = qnb([probe, rh[0], rh[1], rh[2], lh[0], lh[1]], alg,
-                      cache=cache).value
-            want = PhaseExpr.zero(3)
-            for c in range(3):
-                e = eps3(a, 2, c)
-                if e:
-                    want = want + fab_half(c, b).scale_fraction(e)
-            if not lhs.equals(-want.times_hbar(5).times_i()):
-                return _fail(f"mirror six-bracket total for f_{a + 1}{b + 1} "
-                             "is not -i hbar^5 eps_a3c f_cb",
-                             lhs + want.times_hbar(5).times_i())
+            probe = f[a][b]
+            # rotated by u: f_ab rotates in b on the left, in a on the right
+            for u, v, side, bracket, index, term, rotation in (
+                    (lh, rh, "left", "six-bracket", b, lambda c: f[a][c],
+                     "eps_b3c f_ac"),
+                    (rh, lh, "right", "mirror six-bracket", a,
+                     lambda c: f[c][b], "eps_a3c f_cb")):
+                rotated = eps_sum(index, 2, term, zero)
+                want = rotated.scale_fraction(2).times_hbar(3).times_i()
+                got = _triple_comms(probe, u, v[2])
+                if not got.equals(want):
+                    return _fail(f"{side} triple commutators of f_{a + 1}{b + 1} "
+                                 f"miss 2 i hbar^3 {rotation}", got - want)
+                want = -rotated.times_hbar(5).times_i()
+                got = qnb([probe, u[0], u[1], u[2], v[0], v[1]], alg,
+                          cache=cache).value
+                if not got.equals(want):
+                    return _fail(f"{bracket} total for f_{a + 1}{b + 1} is not "
+                                 f"-i hbar^5 {rotation}", got - want)
     return _pass("rotation coefficients 2 i hbar^3 and -i hbar^5 reproduced "
                  "for all nine components, both orientations")
 
@@ -1332,14 +1279,10 @@ def run_suite(suite: Optional[str] = None, id_glob: Optional[str] = None,
     """Run the matching entries; deterministic content for a fixed seed."""
     entries = select_entries(suite, id_glob)
     ctx = RunContext(seed=seed, draws=draws)
-    label = suite or id_glob or "all"
-    report = Report(label, seed)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(lambda e: run_entry(e, ctx), entries))
     else:
         rows = [run_entry(e, ctx) for e in entries]
-    order = {e.id: i for i, e in enumerate(entries)}
-    report.results = sorted(rows, key=lambda r: order[r.id])
-    return report
+    return Report(suite or id_glob or "all", seed, rows)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import DivisionByZero
+
 QZERO = (0, 0, 1)
 QONE = (1, 0, 1)
 QI = (0, 1, 1)
@@ -22,7 +24,7 @@ def qnorm(a: int, b: int, d: int):
     if d == 1:
         return (a, b, 1)
     if d == 0:
-        raise ZeroDivisionError("gaussian rational with zero denominator")
+        raise DivisionByZero("gaussian rational with zero denominator")
     if a == 0 and b == 0:
         return QZERO
     if d < 0:

@@ -30,6 +30,16 @@ def eps3(a: int, b: int, c: int) -> int:
     return _EPS3.get((a, b, c), 0)
 
 
+def eps_sum(i: int, j: int, term, start):
+    """start + sum_k eps_ijk term(k), calling term only where eps_ijk != 0."""
+    total = start
+    for k in range(3):
+        e = eps3(i, j, k)
+        if e:
+            total = total + term(k) if e > 0 else total - term(k)
+    return total
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Frame-field data: indices are 0-based lists of PhaseExprs."""
@@ -79,6 +89,25 @@ def _coords(n: int):
 
 def _momenta(n: int):
     return [PhaseExpr.momentum(n, i) for i in range(n)]
+
+
+def frame_current(v, j: int) -> PhaseExpr:
+    """The frame current sum_a p_a V^{aj} of the frame rows v (0-based j)."""
+    n = len(v)
+    cur = PhaseExpr.zero(n)
+    for a in range(n):
+        cur = cur + PhaseExpr.momentum(n, a) * v[a][j]
+    return cur
+
+
+def _hamiltonians(charges) -> Tuple[PhaseExpr, PhaseExpr]:
+    """sum c*c/2 and sum star(c, c)/2 over the charges, in order."""
+    half = Fraction(1, 2)
+    h = hqm = PhaseExpr.zero(charges[0].n)
+    for c in charges:
+        h = h + (c * c).scale_fraction(half)
+        hqm = hqm + star(c, c).scale_fraction(half)
+    return h, hqm
 
 
 def sphere_geometry(n: int, sign: str = "-") -> Geometry:
@@ -133,17 +162,7 @@ def build_sphere(n: int, sign: str = "+") -> Model:
         for b in range(a + 1, n):
             charges[f"L{a + 1}{b + 1}"] = x[a] * p[b] - x[b] * p[a]
             conserved.append(f"L{a + 1}{b + 1}")
-    h = PhaseExpr.zero(n)
-    hqm = PhaseExpr.zero(n)
-    for a in range(n):
-        pa = charges[f"P{a + 1}"]
-        h = h + (pa * pa).scale_fraction(Fraction(1, 2))
-        hqm = hqm + star(pa, pa).scale_fraction(Fraction(1, 2))
-    for a in range(n):
-        for b in range(a + 1, n):
-            lab = charges[f"L{a + 1}{b + 1}"]
-            h = h + (lab * lab).scale_fraction(Fraction(1, 2))
-            hqm = hqm + star(lab, lab).scale_fraction(Fraction(1, 2))
+    h, hqm = _hamiltonians([charges[name] for name in conserved])
     charges["H"] = h
     charges["Hqm"] = hqm
     if n == 2:
@@ -170,11 +189,7 @@ def chiral_dreibein(sign: str) -> Tuple[Tuple[PhaseExpr, ...], ...]:
     for a in range(n):
         row = []
         for i in range(n):
-            entry = PhaseExpr.zero(n)
-            for b in range(n):
-                e = eps3(a, i, b)
-                if e:
-                    entry = entry + x[b].scale_fraction(e)
+            entry = eps_sum(a, i, lambda b: x[b], PhaseExpr.zero(n))
             if a == i:
                 entry = entry + s.scale_fraction(sig)
             row.append(entry)
@@ -238,7 +253,6 @@ def build_gnomonic_s3() -> Model:
     """Chiral 3-sphere in gnomonic coordinates: polynomial frame field."""
     n = 3
     x = _coords(n)
-    p = _momenta(n)
     rows = []
     for a in range(n):
         row = []
@@ -247,26 +261,12 @@ def build_gnomonic_s3() -> Model:
             if a == j:
                 entry = entry + PhaseExpr.one(n)
             entry = entry + x[j] * x[a]
-            for b in range(n):
-                e = eps3(j, a, b)
-                if e:
-                    entry = entry + x[b].scale_fraction(e)
-            row.append(entry)
+            row.append(eps_sum(j, a, lambda b: x[b], entry))
         rows.append(tuple(row))
     vielbein = tuple(rows)
-    currents = []
-    for i in range(3):
-        cur = PhaseExpr.zero(n)
-        for a in range(3):
-            cur = cur + p[a] * vielbein[a][i]
-        currents.append(cur)
-    charges: Dict[str, PhaseExpr] = {}
-    h = PhaseExpr.zero(n)
-    hqm = PhaseExpr.zero(n)
-    for i in range(3):
-        charges[f"J{i + 1}"] = currents[i]
-        h = h + (currents[i] * currents[i]).scale_fraction(Fraction(1, 2))
-        hqm = hqm + star(currents[i], currents[i]).scale_fraction(Fraction(1, 2))
+    currents = [frame_current(vielbein, i) for i in range(3)]
+    charges = {f"J{i + 1}": cur for i, cur in enumerate(currents)}
+    h, hqm = _hamiltonians(currents)
     charges["H"] = h
     charges["Hqm"] = hqm
     metric_inv = tuple(tuple(sum((vielbein[a][i] * vielbein[b][i]
@@ -282,26 +282,16 @@ def h_other(model: Model) -> PhaseExpr:
     if model.kind != "sphere":
         raise DomainError("h_other is defined for sphere models")
     n = model.n
-    p = _momenta(n)
-    v = model.geometry.vielbein_upper
     total = PhaseExpr.zero(n)
     for i in range(n):
-        cur = PhaseExpr.zero(n)
-        for a in range(n):
-            cur = cur + p[a] * v[a][i]
+        cur = vielbein_current(model, i)
         total = total + star(cur, cur)
     return total.scale_fraction(Fraction(1, 2))
 
 
 def vielbein_current(model: Model, j: int) -> PhaseExpr:
     """The frame current V^{aj} p_a (0-based j) of the model's geometry."""
-    n = model.n
-    p = _momenta(n)
-    v = model.geometry.vielbein_upper
-    cur = PhaseExpr.zero(n)
-    for a in range(n):
-        cur = cur + p[a] * v[a][j]
-    return cur
+    return frame_current(model.geometry.vielbein_upper, j)
 
 
 def current_algebra_omega(model: Model, j: int, k: int) -> PhaseExpr:
@@ -488,7 +478,7 @@ def get_model(name: str) -> Model:
         return _MODEL_CACHE[key]
     parts = key.split(":")
     if parts[0] == "sphere":
-        if len(parts) < 2:
+        if not 2 <= len(parts) <= 3:
             raise DomainError("sphere models are named sphere:N[:+|-]")
         try:
             n = int(parts[1])

@@ -21,23 +21,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
-from .gauss import qis_zero, qpow_i
+from .gauss import qis_zero, qnorm, qpow_i
 from .poly import MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
 
 
 def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
-    from .gauss import qnorm
     if num == 0:
         return {}
     return {power: qnorm(num, 0, den)}
 
 
-def _checked_entry(e: Poly) -> Poly:
-    """A copy of an entry given from outside; DomainError unless every key
-    is an hbar power 0..MASK, the one field of the n = 0 ring."""
-    if any(not 0 <= k <= MASK for k in e):
-        raise DomainError(f"matrix entry key outside hbar**0..hbar**{MASK}")
-    return dict(e)
+def _checked_row(entries) -> Dict[int, Poly]:
+    """The row {column: entry} of (column, entry) pairs given from outside,
+    with every coefficient normalized and zero ones and entries dropped.
+    DomainError unless every key is an hbar power 0..MASK, the one field of
+    the n = 0 ring; DivisionByZero for a zero denominator."""
+    row = {}
+    for j, e in entries:
+        if any(not 0 <= k <= MASK for k in e):
+            raise DomainError(f"matrix entry key outside hbar**0..hbar**{MASK}")
+        e = {k: q for k, c in e.items() if not qis_zero(q := qnorm(*c))}
+        if e:
+            row[j] = e
+    return row
 
 
 class ExactMatrix:
@@ -61,8 +67,7 @@ class ExactMatrix:
             if len(row) != dim:
                 raise DimensionError("matrix must be square")
         self.dim = dim
-        self._rows = tuple({j: _checked_entry(e) for j, e in enumerate(row) if e}
-                           for row in rows)
+        self._rows = tuple(_checked_row(enumerate(row)) for row in rows)
 
     @classmethod
     def _of(cls, dim: int, rows) -> "ExactMatrix":
@@ -84,9 +89,8 @@ class ExactMatrix:
     def unit(cls, dim: int, i: int, j: int, entry: Optional[Poly] = None) -> "ExactMatrix":
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError("matrix index out of range")
-        e = dict(PONE) if entry is None else _checked_entry(entry)
-        return cls._of(dim, ({j: e} if r == i and e else {}
-                             for r in range(dim)))
+        row = _checked_row([(j, PONE if entry is None else entry)])
+        return cls._of(dim, (row if r == i else {} for r in range(dim)))
 
     @classmethod
     def from_int_rows(cls, rows: Sequence[Sequence[int]]) -> "ExactMatrix":
@@ -94,7 +98,7 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence[Poly]) -> "ExactMatrix":
-        return cls._of(len(entries), ({i: _checked_entry(e)} if e else {}
+        return cls._of(len(entries), (_checked_row([(i, e)])
                                       for i, e in enumerate(entries)))
 
     def _check(self, other: "ExactMatrix"):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .errors import DimensionError, DomainError, InexactDivision
-from .gauss import GaussRational, qadd, qfromfrac, qmul, qpow_i
+from .errors import DimensionError, DivisionByZero, DomainError
+from .gauss import GaussRational, qadd, qfromfrac, qmul, qnorm, qpow_i
 from .poly import (BITS, GUARD, MASK, PONE, overflow, pack, pack_one, phbar,
                    pvar)
 from .radical import (RadicalCoeff, RZERO, racc, radd, rderive, rdivide_ihbar,
@@ -29,9 +29,9 @@ from .radical import (RadicalCoeff, RZERO, racc, radd, rderive, rdivide_ihbar,
 class PhaseExpr:
     """Exact phase-space function: momenta with radical-field coefficients.
 
-    Values are immutable; repeated partial derivatives, and the star
-    product's half table (``brackets._half``), are memoized per instance
-    since bracket evaluations differentiate the same operands many times.
+    Values are immutable.  The one memo is ``_dcache``, which holds the
+    star product's half table (``brackets._half``) once it is built, since
+    bracket evaluations star the same operands many times.
     """
 
     __slots__ = ("n", "terms", "_dcache")
@@ -55,7 +55,7 @@ class PhaseExpr:
     @classmethod
     def const(cls, n: int, value) -> "PhaseExpr":
         if isinstance(value, tuple):
-            c = value
+            c = qnorm(*value)
         elif isinstance(value, GaussRational):
             c = value.triple()
         else:
@@ -184,7 +184,6 @@ class PhaseExpr:
         if list(self.terms.keys()) not in ([0], []):
             raise DomainError("only momentum-free expressions are invertible")
         if not self.terms:
-            from .errors import DivisionByZero
             raise DivisionByZero("inverse of zero expression")
         return PhaseExpr(self.n, {0: rinv(self.terms[0], self.n)})
 
@@ -201,35 +200,19 @@ class PhaseExpr:
 
     def diff_x(self, a: int) -> "PhaseExpr":
         _check_index(self.n, a)
-        cache = self._dcache
-        if cache is None:
-            cache = self._dcache = {}
-        got = cache.get(("x", a))
-        if got is not None:
-            return got
         n = self.n
-        result = PhaseExpr(n, {k: rderive(c, a, n)
-                               for k, c in self.terms.items()})
-        cache[("x", a)] = result
-        return result
+        return PhaseExpr(n, {k: rderive(c, a, n)
+                             for k, c in self.terms.items()})
 
     def diff_p(self, a: int) -> "PhaseExpr":
         _check_index(self.n, a)
-        cache = self._dcache
-        if cache is None:
-            cache = self._dcache = {}
-        got = cache.get(("p", a))
-        if got is not None:
-            return got
         shift = BITS * a
         out: Dict[int, RadicalCoeff] = {}
         for k, c in self.terms.items():
             e = (k >> shift) & MASK
             if e:  # distinct keys stay distinct, so nothing is summed
                 out[k - (1 << shift)] = c if e == 1 else rscale(c, (e, 0, 1))
-        result = PhaseExpr(self.n, out)
-        cache[("p", a)] = result
-        return result
+        return PhaseExpr(self.n, out)
 
     def divide_exact_hbar(self, k: int) -> "PhaseExpr":
         """Exact division by (i*hbar)**k; InexactDivision if impossible."""
@@ -350,10 +333,11 @@ def normalize_terms(n: int, raw: Iterable[RawTerm]) -> PhaseExpr:
 
     Each raw term is (p_exponents, numerator_poly, s_power, denominator),
     with the denominator given as a pair (den_a, den_b) meaning
-    den_a + den_b * s.  s powers are reduced through s**2 = 1 - q**2 and
-    denominators are rationalized by conjugate multiplication.
+    den_a + den_b * s.  s powers are reduced through s**2 = 1 - q**2 and a
+    denominator with an s-part is inverted by ``radical.rinv``.
+    DivisionByZero when a denominator is zero or involves hbar.
     """
-    from .poly import pmul, psub
+    from .poly import phas_hbar, pmul
 
     acc: Dict[int, RadicalCoeff] = {}
     r = r_poly(n)
@@ -369,15 +353,13 @@ def normalize_terms(n: int, raw: Iterable[RawTerm]) -> PhaseExpr:
         else:
             a_num = body
             b_num = {}
-        if den_b:
-            conj_a = pmul(a_num, den_a)
-            conj_a = psub(conj_a, pmul(pmul(b_num, den_b), r))
-            conj_b = psub(pmul(b_num, den_a), pmul(a_num, den_b))
-            new_den = psub(pmul(den_a, den_a), pmul(pmul(den_b, den_b), r))
-            a_num, b_num, den = conj_a, conj_b, new_den
+        if not den_b:
+            coeff = rmake(a_num, b_num, den_a, n)
+        elif phas_hbar(den_a, n) or phas_hbar(den_b, n):
+            raise DivisionByZero("denominator may not involve hbar")
         else:
-            den = den_a
-        coeff = rmake(a_num, b_num, den, n)
+            coeff = rmul(RadicalCoeff(a_num, b_num, ()),
+                         rinv(RadicalCoeff(den_a, den_b, ()), n), n)
         prev = acc.get(key)
         acc[key] = coeff if prev is None else radd(prev, coeff, n)
     return PhaseExpr(n, acc)

@@ -156,6 +156,13 @@ class TestCli:
     def test_eval_unknown_model_exit_two(self, capsys):
         assert main(["eval", "--model", "torus:2", "x1"]) == 2
 
+    def test_eval_extra_model_name_field_exit_two(self, capsys):
+        # sphere:2:-:junk used to run as sphere:2:- and print s*p2
+        assert main(["eval", "--model", "sphere:2:-:junk", "Lx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sphere models are named" in captured.err
+
     def test_eval_unknown_name_exit_two(self, capsys):
         assert main(["eval", "--model", "sphere:2", "mb(Lx, Zz)"]) == 2
 

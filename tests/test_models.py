@@ -42,6 +42,9 @@ class TestSphere:
             build_sphere(2, "x")
         with pytest.raises(DomainError):
             get_model("nonsense")
+        # a fourth name field used to be ignored
+        with pytest.raises(DomainError):
+            get_model("sphere:2:-:junk")
 
     def test_corrections(self):
         for n in (2, 3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from starnambu import jordan, qnb
-from starnambu.errors import DimensionError, DomainError
+from starnambu.errors import DimensionError, DivisionByZero, DomainError
 from starnambu.operators import (ExactMatrix, FockBasis, SectorStack,
                                  chiral_block_rep, chiral_tensor_rep,
                                  commutator, direct_sum, matrix_algebra,
@@ -90,6 +90,26 @@ class TestMatrixRing:
         assert ExactMatrix.unit(2, 0, 1, top) == ExactMatrix(
             [[{}, top], [{}, {}]])
         assert ExactMatrix.diagonal([top, {}]).entry(0, 0) == top
+
+    def test_entry_coefficients_are_normalized(self):
+        # (2, 0, 4) and (1, 0, 2) both printed as 1/2 but compared unequal,
+        # and a zero coefficient was stored and printed as [0,0]=0
+        half = ExactMatrix.unit(2, 0, 1, {0: (1, 0, 2)})
+        for m in (ExactMatrix.unit(2, 0, 1, {0: (2, 0, 4)}),
+                  ExactMatrix([[{}, {0: (-2, 0, -4)}], [{}, {}]])):
+            assert m == half and repr(m) == repr(half)
+        one = ExactMatrix.diagonal([{}, {0: (1, 0, 1)}])
+        for m in (ExactMatrix.diagonal([{0: (0, 0, 3)}, {0: (1, 0, 1)}]),
+                  ExactMatrix([[{0: (0, 0, 3)}, {}], [{}, {0: (3, 0, 3)}]])):
+            assert m == one and repr(m) == repr(one) == "ExactMatrix(2, [1,1]=1)"
+        assert ExactMatrix.unit(2, 0, 1, {0: (0, 0, 5)}).is_zero()
+        for bad in ({0: (1, 0, 0)}, {2: (0, 0, 0)}):
+            with pytest.raises(DivisionByZero):
+                ExactMatrix.unit(2, 0, 1, bad)
+            with pytest.raises(DivisionByZero):
+                ExactMatrix.diagonal([bad, {}])
+            with pytest.raises(DivisionByZero):
+                ExactMatrix([[{}, bad], [{}, {}]])
 
 
 class TestFock:

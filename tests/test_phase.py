@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from starnambu import (DimensionError, DomainError, EvalPoint, InexactDivision,
-                       PhaseExpr, normalize_terms, random_circle_point)
+from starnambu import (DimensionError, DivisionByZero, DomainError, EvalPoint,
+                       InexactDivision, PhaseExpr, normalize_terms,
+                       random_circle_point)
 from starnambu.models import get_model
-from starnambu.poly import PONE, pvar
+from starnambu.poly import PONE, phbar, pvar
 from starnambu.radical import rfrom_poly
 
 
@@ -86,6 +87,13 @@ class TestNormalize:
         y = PhaseExpr.coord(2, 1)
         py = PhaseExpr.momentum(2, 1)
         assert got.equals((one + one - x * x - y * y) * py)
+
+    def test_hbar_dependent_denominator_raises(self):
+        # both a plain denominator and one with an s-part, in either slot
+        one, hbar = dict(PONE), phbar(2)
+        for den in ((hbar, {}), (hbar, one), (one, hbar)):
+            with pytest.raises(DivisionByZero):
+                normalize_terms(2, [((0, 0), one, 0, den)])
 
 
 class TestArithmetic:
@@ -290,6 +298,18 @@ class TestEvaluate:
 
 
 class TestEquals:
+    def test_scalar_triples_are_normalized(self):
+        # (2, 0, 4) printed as 1/2 but compared unequal to it, and (1, 0, 0)
+        # was accepted until text() raised a bare ZeroDivisionError
+        for triple, value in (((2, 0, 4), Fraction(1, 2)),
+                              ((1, 0, -2), Fraction(-1, 2))):
+            got = PhaseExpr.const(2, triple)
+            assert got.equals(PhaseExpr.const(2, value))
+            assert got.text() == PhaseExpr.const(2, value).text()
+        assert PhaseExpr.const(2, (0, 0, 3)).is_zero()
+        with pytest.raises(DivisionByZero):
+            PhaseExpr.const(2, (1, 0, 0))
+
     def test_spec_examples(self):
         x, _, s, one = exprs()
         y = PhaseExpr.coord(2, 1)
