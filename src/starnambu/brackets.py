@@ -84,12 +84,8 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
     itself, except in the row of order 0, whose entry f is not stored on
     f: that would be a reference cycle.
     """
-    cache = f._dcache
-    if cache is None:
-        cache = f._dcache = {}
-    table = cache.get("half")
-    if table is not None:
-        return table
+    if f._dcache is not None:
+        return f._dcache
     n = f.n
     table = [(0, 0, {})]
     entries = {0: f}
@@ -103,7 +99,7 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
             if not d.is_zero():
                 entries[beta + step] = d
                 table.append((beta + step, total + 1, {0: d}))
-    cache["half"] = table
+    f._dcache = table
     return table
 
 

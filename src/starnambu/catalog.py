@@ -72,11 +72,15 @@ class RunContext:
     seed: int = 0
     draws: int = 1
 
+    def __post_init__(self):
+        if self.draws < 1:
+            raise UsageError(f"draws (--n) must be at least 1, got {self.draws}")
+
     def rng(self, entry_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{entry_id}")
 
     def repeats(self, base: int) -> int:
-        return max(1, base * self.draws)
+        return base * self.draws
 
 
 def random_phase(n: int, rng: random.Random, pdeg: int = 2, xdeg: int = 2,
@@ -1276,13 +1280,9 @@ def run_entry(entry: IdentityCheck, ctx: RunContext) -> ResultRow:
 
 def run_suite(suite: Optional[str] = None, id_glob: Optional[str] = None,
               seed: int = 0, jobs: int = 1, draws: int = 1) -> Report:
-    """Run the matching entries; deterministic content for a fixed seed."""
-    entries = select_entries(suite, id_glob)
+    """Run the matching entries one after another on the calling thread, so
+    each row's ``elapsed_ms`` is that entry's own time; deterministic content
+    for a fixed seed.  ``jobs`` is accepted and has no effect."""
     ctx = RunContext(seed=seed, draws=draws)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda e: run_entry(e, ctx), entries))
-    else:
-        rows = [run_entry(e, ctx) for e in entries]
+    rows = [run_entry(e, ctx) for e in select_entries(suite, id_glob)]
     return Report(suite or id_glob or "all", seed, rows)

@@ -37,9 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--id", dest="id_glob", default=None,
                        help="glob over entry ids, e.g. 'QN-*'")
     check.add_argument("--n", type=int, default=1,
-                       help="multiplier for randomized draws")
+                       help="multiplier for randomized draws (at least 1)")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: entries always run one "
+                            "after another on the calling thread")
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     ev = sub.add_parser("eval", help="evaluate a bracket expression")
@@ -57,7 +59,7 @@ def _cmd_check(args) -> int:
     if suite is None and args.id_glob is None:
         suite = "all"
     report = run_suite(suite=suite, id_glob=args.id_glob, seed=args.seed,
-                       jobs=args.jobs, draws=args.n)
+                       draws=args.n)
     if args.format == "json":
         print(report.to_json())
     else:

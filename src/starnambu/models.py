@@ -472,10 +472,9 @@ def canonical_model_names() -> Tuple[str, ...]:
 
 
 def get_model(name: str) -> Model:
-    """Resolve a registry name: sphere:N[:+|-], chiral-s3, gnomonic-s3."""
+    """Resolve a registry name: sphere:N[:+|-], chiral-s3, gnomonic-s3.
+    Cached by canonical name, so every spelling gives the same object."""
     key = name.strip()
-    if key in _MODEL_CACHE:
-        return _MODEL_CACHE[key]
     parts = key.split(":")
     if parts[0] == "sphere":
         if not 2 <= len(parts) <= 3:
@@ -485,15 +484,17 @@ def get_model(name: str) -> Model:
         except ValueError:
             raise DomainError(f"bad sphere dimension {parts[1]!r}")
         sign = parts[2] if len(parts) > 2 else "+"
-        model = build_sphere(n, sign)
+        key = f"sphere:{n}:{sign}"
+        build = lambda: build_sphere(n, sign)
     elif key == "chiral-s3":
-        model = build_chiral_s3()
+        build = build_chiral_s3
     elif key == "gnomonic-s3":
-        model = build_gnomonic_s3()
+        build = build_gnomonic_s3
     else:
         raise DomainError(f"unknown model {name!r}")
-    _MODEL_CACHE[key] = model
-    return model
+    if key not in _MODEL_CACHE:
+        _MODEL_CACHE[key] = build()
+    return _MODEL_CACHE[key]
 
 
 def conservation_failures(model: Model) -> List[str]:

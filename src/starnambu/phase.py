@@ -29,9 +29,9 @@ from .radical import (RadicalCoeff, RZERO, racc, radd, rderive, rdivide_ihbar,
 class PhaseExpr:
     """Exact phase-space function: momenta with radical-field coefficients.
 
-    Values are immutable.  The one memo is ``_dcache``, which holds the
-    star product's half table (``brackets._half``) once it is built, since
-    bracket evaluations star the same operands many times.
+    Values are immutable.  The one memo is ``_dcache``: the star product's
+    half table (``brackets._half``), None until it is built, since bracket
+    evaluations star the same operands many times.
     """
 
     __slots__ = ("n", "terms", "_dcache")

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -8,6 +9,21 @@ from starnambu.catalog import (catalog, check_metric_identities,
                                run_suite, select_entries)
 from starnambu.cli import main
 from starnambu.models import get_model, sphere_geometry
+
+
+@pytest.fixture
+def entry_threads(monkeypatch):
+    """Thread ids on which ``catalog.run_entry`` ran, in call order."""
+    import starnambu.catalog as cat
+    seen = []
+    original = cat.run_entry
+
+    def recording(entry, ctx):
+        seen.append(threading.get_ident())
+        return original(entry, ctx)
+
+    monkeypatch.setattr(cat, "run_entry", recording)
+    return seen
 
 
 EXPECTED_IDS = [
@@ -83,6 +99,11 @@ class TestRunner:
         assert [r.status for r in seq.results] == [r.status for r in par.results]
         assert [r.detail for r in seq.results] == [r.detail for r in par.results]
 
+    def test_jobs_run_on_calling_thread(self, entry_threads):
+        report = run_suite(id_glob="S2-0[1-4]", seed=0, jobs=2)
+        assert len(report.results) == 4
+        assert entry_threads == [threading.get_ident()] * 4
+
     def test_jobs_stable_on_operator_entries(self):
         """The exact-matrix entries on the runner's threads give the same
         status and detail per id as run one after another."""
@@ -136,6 +157,26 @@ class TestCli:
         assert main(["check", "--id", "S2-05", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["summary"]["pass"] == 1
+
+    def test_check_jobs_accepted_and_ignored(self, entry_threads, capsys):
+        reports = []
+        for jobs in ("2", "1"):
+            assert main(["check", "--id", "S2-0[12]", "--jobs", jobs,
+                         "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            for row in data["results"]:
+                row.pop("elapsed_ms")
+            reports.append(data)
+        assert reports[0] == reports[1]
+        assert [r["id"] for r in reports[0]["results"]] == ["S2-01", "S2-02"]
+        assert entry_threads == [threading.get_ident()] * 4
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_check_draws_below_one_exit_two(self, n, capsys):
+        assert main(["check", "--id", "S2-03", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 1" in captured.err
 
     def test_eval_conserved(self, capsys):
         assert main(["eval", "--model", "sphere:2", "mb(Lx,Hqm)"]) == 0

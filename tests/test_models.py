@@ -275,6 +275,15 @@ def test_registry_names():
     assert build_gnomonic_s3().kind == "gnomonic"
 
 
+def test_one_model_per_canonical_name():
+    """Every spelling of a model resolves to one cached object."""
+    plus = get_model("sphere:2:+")
+    for name in ("sphere:2", "sphere:02", " sphere:2", "sphere:2 "):
+        assert get_model(name) is plus, name
+    assert plus.name == "sphere:2:+"
+    assert get_model("sphere:2:-") is not plus
+
+
 def test_identities_hold_pointwise():
     """Cross-check symbolic equalities through exact point evaluation."""
     from starnambu import random_circle_point, star
