@@ -206,6 +206,43 @@ def moyal(f: PhaseExpr, g: PhaseExpr) -> PhaseExpr:
 # -- Nambu brackets ----------------------------------------------------
 
 
+def _minor(grads: List[List[PhaseExpr]], i: int, mask: int,
+           memo: Dict[Tuple[int, int], PhaseExpr]) -> PhaseExpr:
+    """The minor of gradient rows i, i+1, ... over the columns in mask, by
+    Laplace expansion along row i and memoized in memo by (i, mask); its
+    products are summed raw and each coefficient is reduced once."""
+    n = grads[0][0].n
+    if i == len(grads):
+        return PhaseExpr.one(n)
+    got = memo.get((i, mask))
+    if got is not None:
+        return got
+    pos: Dict[int, tuple] = {}
+    neg: Dict[int, tuple] = {}
+    sign = 1
+    for j, a in enumerate(grads[i]):
+        bit = 1 << j
+        if not mask & bit:
+            continue
+        if not a.is_zero():
+            add_products(pos if sign > 0 else neg, a,
+                         _minor(grads, i + 1, mask & ~bit, memo))
+        sign = -sign
+    total = memo[(i, mask)] = PhaseExpr(n, rsums(pos, neg, 1, n))
+    return total
+
+
+def _gradients(entries: List[PhaseExpr], what: str) -> List[List[PhaseExpr]]:
+    """Each entry's derivatives in the column order (x1, p1, ..., xN, pN)."""
+    n = entries[0].n
+    grads = []
+    for e in entries:
+        if e.n != n:
+            raise DimensionError(f"mixed dimensions in {what}")
+        grads.append([d for a in range(n) for d in (e.diff_x(a), e.diff_p(a))])
+    return grads
+
+
 def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     """Jacobian determinant of the entries with respect to (x1,p1,...,xN,pN).
 
@@ -219,56 +256,21 @@ def nambu_jacobian(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     m = 2 * n
     if len(entries) != m:
         raise ArityError(f"nambu bracket needs {m} entries for dimension {n}")
-    for e in entries:
-        if e.n != n:
-            raise DimensionError("mixed dimensions in nambu bracket")
-    grads: List[List[PhaseExpr]] = []
-    for e in entries:
-        row = []
-        for a in range(n):
-            row.append(e.diff_x(a))
-            row.append(e.diff_p(a))
-        grads.append(row)
-
-    memo: Dict[Tuple[int, int], PhaseExpr] = {}
-
-    def minor(i: int, mask: int) -> PhaseExpr:
-        """The Laplace expansion along row i over the columns in mask; its
-        products are summed raw and each coefficient is reduced once."""
-        if i == m:
-            return PhaseExpr.one(n)
-        got = memo.get((i, mask))
-        if got is not None:
-            return got
-        pos: Dict[int, tuple] = {}
-        neg: Dict[int, tuple] = {}
-        sign = 1
-        for j in range(m):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            a = grads[i][j]
-            if not a.is_zero():
-                add_products(pos if sign > 0 else neg, a,
-                             minor(i + 1, mask & ~bit))
-            sign = -sign
-        total = memo[(i, mask)] = PhaseExpr(n, rsums(pos, neg, 1, n))
-        return total
-
-    try:
-        return minor(0, (1 << m) - 1)
-    finally:
-        del minor  # minor refers to itself: free memo now, not at the next gc
+    return _minor(_gradients(entries, "nambu bracket"), 0, (1 << m) - 1, {})
 
 
 def symplectic_trace(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     """Contract a rank-2k bracket down from the full 2N-dimensional Jacobian.
 
-    Appends N-k coordinate/momentum pairs in all ways and sums: summing
-    ordered index tuples and dividing by (N-k)! equals summing over the
-    distinct unordered insertions done here, since repeated pairs vanish
-    and pair swaps are even permutations.  For k=1 this is the Poisson
-    bracket.
+    The trace appends N-k coordinate/momentum pairs in all ways and sums
+    the Jacobians: summing ordered index tuples and dividing by (N-k)!
+    equals summing over the distinct unordered insertions, since repeated
+    pairs vanish and pair swaps are even permutations.  Expanding such a
+    Jacobian along its appended unit rows leaves the minor of the entries'
+    own gradient rows over the k kept (x_i, p_i) column pairs, at sign +1:
+    the row and column indices of the appended pairs have the same parity.
+    So the trace is the sum of those minors over every k-set of kept
+    pairs, all from one memo.  For k=1 this is the Poisson bracket.
     """
     entries = list(entries)
     if not entries:
@@ -279,14 +281,12 @@ def symplectic_trace(entries: Sequence[PhaseExpr]) -> PhaseExpr:
     k = len(entries) // 2
     if k > dim:
         raise ArityError(f"rank {2 * k} exceeds phase-space dimension {2 * dim}")
-    insert = dim - k
+    grads = _gradients(entries, "symplectic trace")
+    memo: Dict[Tuple[int, int], PhaseExpr] = {}
     total = PhaseExpr.zero(dim)
-    for combo in combinations(range(dim), insert):
-        ext = list(entries)
-        for i in combo:
-            ext.append(PhaseExpr.coord(dim, i))
-            ext.append(PhaseExpr.momentum(dim, i))
-        total = total + nambu_jacobian(ext)
+    for kept in combinations(range(dim), k):
+        mask = sum(3 << (2 * i) for i in kept)
+        total = total + _minor(grads, 0, mask, memo)
     return total
 
 
@@ -370,8 +370,8 @@ def _naive_fold(entries, alg, signed: bool, stats: BracketStats):
 
 def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                cache: Optional[SubsetCache]):
-    """T(S), the k-product of the entries in S in order, memoized over
-    subsets S; a, b and j are 0-based positions in S.
+    """T(S), the k-product of the entries in S in order, built up over the
+    subsets S its rules need; a, b and j are 0-based positions in S.
 
     Three rules, signed for qnb and with every sign + for jordan:
     - A pair is its commutator (anticommutator when unsigned).
@@ -389,24 +389,25 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
     x_j moved past the even number left in an odd S, and for the two
     orders of a matching, which carry the same sign.
 
-    ``fold`` refers to itself, a reference cycle that would keep ``memo``
-    and every T(S) in it alive until the cyclic collector runs; the
-    ``finally`` block breaks it on return.
+    The rules need every subset of even size, smallest first, and the whole
+    set when k is odd.  Each is taken from ``cache`` when it is there; for
+    k = 5 and k >= 7 such a hit does not spare the smaller subsets under it.
     """
     k = len(entries)
-    memo: Dict[int, Any] = {}
-
-    def fold(mask: int):
-        got = memo.get(mask)
-        if got is not None:
-            return got
+    full = (1 << k) - 1
+    masks = [sum(1 << j for j in picked) for size in range(2, k + 1, 2)
+             for picked in combinations(range(k), size)]
+    if k % 2:
+        masks.append(full)
+    table: Dict[int, Any] = {}
+    for mask in masks:
         bits = [1 << j for j in range(k) if mask >> j & 1]
         subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
         if cache is not None:
             got = cache.get(subset)
             if got is not None:
-                memo[mask] = got
-                return got
+                table[mask] = got
+                continue
         stats.nodes += 1
         m = len(bits)
         if m == 1:
@@ -418,14 +419,14 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
         else:
             op, cost = alg.sym, 1
             if m % 2:
-                terms = ((j, subset[j], fold(mask ^ bits[j])) for j in range(m))
+                terms = ((j, subset[j], table[mask ^ bits[j]]) for j in range(m))
             elif m == 4:
                 op, cost = alg.anticommutator, 2
-                terms = ((j - 1, fold(bits[0] | bits[j]),
-                          fold(mask ^ bits[0] ^ bits[j])) for j in (1, 2, 3))
+                terms = ((j - 1, table[bits[0] | bits[j]],
+                          table[mask ^ bits[0] ^ bits[j]]) for j in (1, 2, 3))
             else:
-                terms = ((a + b - 1, fold(bits[a] | bits[b]),
-                          fold(mask ^ bits[a] ^ bits[b]))
+                terms = ((a + b - 1, table[bits[a] | bits[b]],
+                          table[mask ^ bits[a] ^ bits[b]])
                          for a, b in combinations(range(m), 2))
             val = None
             for parity, left, right in terms:
@@ -434,16 +435,10 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                 if signed and parity % 2:
                     prod = -prod
                 val = prod if val is None else val + prod
-        memo[mask] = val
+        table[mask] = val
         if cache is not None:
             cache.put(subset, val)
-        return val
-
-    try:
-        return fold((1 << k) - 1)
-    finally:
-        memo.clear()
-        del fold
+    return table[full]
 
 
 def _product(entries, alg, signed: bool, naive: bool, cache, what: str):

@@ -782,8 +782,8 @@ def _run_qn_08(ctx: RunContext) -> CheckOutcome:
     m = get_model("chiral-s3")
     alg = phase_algebra(3)
     lh, rh = half_charges(m)
-    il = sum((star(c, c) for c in lh), PhaseExpr.zero(3))
-    ir = sum((star(c, c) for c in rh), PhaseExpr.zero(3))
+    il = m.charge("IL").scale_fraction(Fraction(1, 4))
+    ir = m.charge("IR").scale_fraction(Fraction(1, 4))
     cache = SubsetCache()
     cases = [("IL", il, 2), ("IR", ir, 2), ("IL*IR", star(il, ir), 1)]
     for name, inv, pdeg in cases:
@@ -899,8 +899,8 @@ def _run_qn_12(ctx: RunContext) -> CheckOutcome:
     m = get_model("chiral-s3")
     alg = phase_algebra(3)
     lh, rh = half_charges(m)
-    il = sum((star(c, c) for c in lh), PhaseExpr.zero(3))
-    ir = sum((star(c, c) for c in rh), PhaseExpr.zero(3))
+    il = m.charge("IL").scale_fraction(Fraction(1, 4))
+    ir = m.charge("IR").scale_fraction(Fraction(1, 4))
 
     cache = SubsetCache()
     pairs = []

@@ -215,17 +215,11 @@ def build_chiral_s3() -> Model:
         charges[f"A{i + 1}"] = axial[i]
         charges[f"R{i + 1}"] = iso[i] + axial[i]
         charges[f"Lch{i + 1}"] = iso[i] - axial[i]
-    h = PhaseExpr.zero(n)
-    il = PhaseExpr.zero(n)
+    h, hqm = _hamiltonians([charges[f"Lch{i}"] for i in (1, 2, 3)])
     ir = PhaseExpr.zero(n)
-    for i in range(3):
-        lc = charges[f"Lch{i + 1}"]
-        rc = charges[f"R{i + 1}"]
-        h = h + (lc * lc).scale_fraction(Fraction(1, 2))
-        il = il + star(lc, lc)
-        ir = ir + star(rc, rc)
-    hqm = il.scale_fraction(Fraction(1, 2))
-    charges["IL"] = il
+    for i in (1, 2, 3):
+        ir = ir + star(charges[f"R{i}"], charges[f"R{i}"])
+    charges["IL"] = hqm.scale_fraction(2)
     charges["IR"] = ir
     charges["H"] = h
     charges["Hqm"] = hqm

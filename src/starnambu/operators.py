@@ -276,13 +276,15 @@ class SectorStack:
     def __init__(self, n: int, totals: Sequence[int]):
         self.n = n
         self.totals = tuple(totals)
+        if len(set(self.totals)) != len(self.totals):
+            raise DomainError("sector totals must differ")
         self.bases = [FockBasis(n, m) for m in self.totals]
         self.states: List[Tuple[int, ...]] = []
         for basis in self.bases:
             self.states.extend(basis.states)
         self.index = {}
         for i, st in enumerate(self.states):
-            # states are unique across sectors since totals differ
+            # states are unique across sectors, whose totals differ
             self.index[st] = i
         self.dim = len(self.states)
 

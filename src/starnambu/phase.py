@@ -335,13 +335,20 @@ def normalize_terms(n: int, raw: Iterable[RawTerm]) -> PhaseExpr:
     with the denominator given as a pair (den_a, den_b) meaning
     den_a + den_b * s.  s powers are reduced through s**2 = 1 - q**2 and a
     denominator with an s-part is inverted by ``radical.rinv``.
-    DivisionByZero when a denominator is zero or involves hbar.
+    DivisionByZero when a denominator is zero or involves hbar; DomainError
+    for a momentum exponent past p_n or a polynomial key with a field past
+    the n coordinates and hbar.
     """
     from .poly import phas_hbar, pmul
 
     acc: Dict[int, RadicalCoeff] = {}
     r = r_poly(n)
+    limit = 1 << (BITS * (n + 1))
     for pexps, num, spow, (den_a, den_b) in raw:
+        if any(pexps[n:]):
+            raise DomainError(f"momentum exponent past p{n}")
+        if any(not 0 <= k < limit for f in (num, den_a, den_b) for k in f):
+            raise DomainError(f"polynomial key past x1..x{n} and hbar")
         key = pack(pexps)
         rpow_part = dict(PONE)
         for _ in range(spow // 2):

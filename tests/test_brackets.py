@@ -459,6 +459,23 @@ class TestNambu:
             assert symplectic_trace([f, g]).equals(poisson(f, g))
             assert symplectic_trace([f, f]).is_zero()
 
+    def test_trace_matches_appended_pairs(self):
+        """The trace against its definition: the Jacobians of the entries
+        with N-k coordinate/momentum pairs appended in all ways, summed."""
+        rng = random.Random(39)
+        for n, k in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3)):
+            entries = [rand_expr(n, rng, pdeg=1, xdeg=1, terms=2)
+                       for _ in range(2 * k)]
+            want = PhaseExpr.zero(n)
+            for combo in combinations(range(n), n - k):
+                ext = list(entries)
+                for i in combo:
+                    ext += [PhaseExpr.coord(n, i), PhaseExpr.momentum(n, i)]
+                want = want + nambu_jacobian(ext)
+            assert symplectic_trace(entries).equals(want), (n, k)
+        with pytest.raises(DimensionError):
+            symplectic_trace([PhaseExpr.coord(2, 0), PhaseExpr.coord(3, 0)])
+
 
 class TestBracketProducts:
     def test_canonical_values(self):
@@ -509,15 +526,21 @@ class TestBracketProducts:
                 assert jordan(mats, malg).value == jordan(mats, malg, naive=True).value
 
     def test_six_bracket_cost_pinned(self):
-        # 15 pair commutators, then 6 products at each of the 15 four-entry
-        # subsets and 15 at the top: 120 products over 1 + 15 + 15 nodes
+        # k = 6: 15 pair commutators, then 6 products at each of the 15
+        # four-entry subsets and 15 at the top: 120 products over
+        # 1 + 15 + 15 nodes.  Products count algebra operations, so they do
+        # not depend on the entries; jordan visits the same nodes.
         rng = random.Random(38)
         malg = matrix_algebra(3)
-        mats = [ExactMatrix.from_int_rows(
-            [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-            for _ in range(6)]
-        stats = qnb(mats, malg).stats
-        assert (stats.products, stats.nodes) == (120, 31)
+        products = {1: 0, 2: 1, 3: 6, 4: 12, 5: 45, 6: 120, 7: 343}
+        for k, want in products.items():
+            mats = [ExactMatrix.from_int_rows(
+                [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+                for _ in range(k)]
+            nodes = 2 ** (k - 1) - 1 + k % 2
+            stats = qnb(mats, malg).stats
+            assert (stats.products, stats.nodes) == (want, nodes), k
+            assert jordan(mats, malg).stats.nodes == nodes, k
 
     def test_phase_subset_matches_naive(self):
         rng = random.Random(29)

@@ -93,11 +93,15 @@ class TestRunner:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_jobs_stable_order(self):
-        seq = run_suite(id_glob="S2-*", seed=3, jobs=1)
-        par = run_suite(id_glob="S2-*", seed=3, jobs=4)
-        assert [r.id for r in seq.results] == [r.id for r in par.results]
-        assert [r.status for r in seq.results] == [r.status for r in par.results]
-        assert [r.detail for r in seq.results] == [r.detail for r in par.results]
+        """A second run in the same process, with the models' half tables
+        and plan caches warm, gives the same rows in the same order."""
+        first = run_suite(id_glob="S2-*", seed=3, jobs=1)
+        second = run_suite(id_glob="S2-*", seed=3, jobs=4)
+        assert [r.id for r in first.results] == [r.id for r in second.results]
+        assert [r.status for r in first.results] == \
+            [r.status for r in second.results]
+        assert [r.detail for r in first.results] == \
+            [r.detail for r in second.results]
 
     def test_jobs_run_on_calling_thread(self, entry_threads):
         report = run_suite(id_glob="S2-0[1-4]", seed=0, jobs=2)
@@ -105,14 +109,15 @@ class TestRunner:
         assert entry_threads == [threading.get_ident()] * 4
 
     def test_jobs_stable_on_operator_entries(self):
-        """The exact-matrix entries on the runner's threads give the same
-        status and detail per id as run one after another."""
+        """The exact-matrix entries give the same status and detail per id
+        when run a second time in the same process, with the models' half
+        tables and plan caches warm."""
         for glob in ("OS-*", "QN-1[01]"):
-            seq = run_suite(id_glob=glob, seed=0, jobs=1)
-            par = run_suite(id_glob=glob, seed=0, jobs=2)
-            assert [(r.id, r.status, r.detail) for r in seq.results] == \
-                [(r.id, r.status, r.detail) for r in par.results]
-            assert all(r.status == "pass" for r in seq.results), glob
+            first = run_suite(id_glob=glob, seed=0, jobs=1)
+            second = run_suite(id_glob=glob, seed=0, jobs=2)
+            assert [(r.id, r.status, r.detail) for r in first.results] == \
+                [(r.id, r.status, r.detail) for r in second.results]
+            assert all(r.status == "pass" for r in first.results), glob
 
 
 class TestNegativeControls:

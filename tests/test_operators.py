@@ -150,6 +150,14 @@ class TestFock:
         want = ExactMatrix.identity(stack.dim).times_hbar(1).scale_fraction(3)
         assert total_number_matrix(2, stack) == want
 
+    def test_repeated_totals_refused(self):
+        # a repeated sector would index its states twice, and the number
+        # operators would map the first copy into the second
+        with pytest.raises(DomainError):
+            SectorStack(2, [1, 1])
+        with pytest.raises(DomainError):
+            SectorStack(3, [2, 1, 2])
+
     def test_single_sector_brackets_vanish(self):
         # every entry conserves the total number, so on one sector the
         # whole 2n-bracket collapses to zero on both sides

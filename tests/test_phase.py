@@ -7,7 +7,7 @@ from starnambu import (DimensionError, DivisionByZero, DomainError, EvalPoint,
                        InexactDivision, PhaseExpr, normalize_terms,
                        random_circle_point)
 from starnambu.models import get_model
-from starnambu.poly import PONE, phbar, pvar
+from starnambu.poly import PONE, pack_one, phbar, pvar
 from starnambu.radical import rfrom_poly
 
 
@@ -94,6 +94,21 @@ class TestNormalize:
         for den in ((hbar, {}), (hbar, one), (one, hbar)):
             with pytest.raises(DivisionByZero):
                 normalize_terms(2, [((0, 0), one, 0, den)])
+
+    def test_keys_past_the_fields_are_refused(self):
+        # each used to be dropped or misread: p3 on n = 2 and a numerator
+        # in field 5 both gave a PhaseExpr that printed 1 but was not equal
+        # to one, and a denominator in field 3 raised "may not involve hbar"
+        one, past = dict(PONE), {pack_one(5, 1): (1, 0, 1)}
+        for raw in (((0, 0, 1), one, 0, (one, {})),
+                    ((0, 0), past, 0, (one, {})),
+                    ((0, 0), one, 0, ({pack_one(3, 1): (1, 0, 1)}, one))):
+            with pytest.raises(DomainError):
+                normalize_terms(2, [raw])
+        hbar_x2 = {pack_one(2, 1) + pack_one(1, 1): (1, 0, 1)}
+        got = normalize_terms(2, [((0, 1, 0), hbar_x2, 0, (one, {}))])
+        y, py = PhaseExpr.coord(2, 1), PhaseExpr.momentum(2, 1)
+        assert got.equals((y * py).times_hbar(1))
 
 
 class TestArithmetic:
