@@ -58,21 +58,6 @@ def qadd(u, v):
     return qnorm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
-def qsub(u, v):
-    a1, b1, d1 = u
-    a2, b2, d2 = v
-    if d1 == d2:
-        if d1 == 1:
-            return (a1 - a2, b1 - b2, 1)
-        return qnorm(a1 - a2, b1 - b2, d1)
-    return qnorm(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
-
-
-def qneg(u):
-    a, b, d = u
-    return (-a, -b, d)
-
-
 def qmul(u, v):
     a1, b1, d1 = u
     a2, b2, d2 = v

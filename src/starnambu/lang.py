@@ -278,8 +278,6 @@ class Binding:
                 from .models import fab as model_fab
                 variant = "cartesian" if base == "fab" else "chiral"
                 return model_fab(self.model, indices[0], indices[1], variant)
-            if base == "Lch" and len(indices) == 1:
-                key = f"Lch{indices[0]}"
             if key in self.model.charges:
                 return self.model.charges[key]
         raise UnknownName(key, span)

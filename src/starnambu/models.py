@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .brackets import moyal, poisson, star
+from .brackets import poisson, star
 from .errors import DomainError, StructureConstantError
 from .phase import EvalPoint, PhaseExpr
 
@@ -489,12 +489,3 @@ def get_model(name: str) -> Model:
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = build()
     return _MODEL_CACHE[key]
-
-
-def conservation_failures(model: Model) -> List[str]:
-    """Charges in the conserved list whose Moyal bracket with Hqm is nonzero."""
-    bad = []
-    for name in model.conserved:
-        if not moyal(model.charge(name), model.h_quantum).is_zero():
-            bad.append(name)
-    return bad

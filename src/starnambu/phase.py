@@ -194,7 +194,10 @@ class PhaseExpr:
             inv = other.invert_coefficient().terms[0]
             return PhaseExpr(n, {k: rmul(c, inv, n)
                                  for k, c in self.terms.items()})
-        return self.scale_fraction(Fraction(1, 1) / Fraction(other))
+        value = Fraction(other)
+        if value == 0:
+            raise DivisionByZero("division by zero")
+        return self.scale_fraction(1 / value)
 
     # -- calculus -----------------------------------------------------
 

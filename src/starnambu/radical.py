@@ -82,7 +82,6 @@ _DERIVE_PLANS: dict = {}
 _ADD_PLANS: dict = {}
 
 RZERO = RadicalCoeff({}, {}, ())
-RONE = RadicalCoeff(dict(PONE), {}, ())
 
 
 def _freeze(p: Poly) -> tuple:

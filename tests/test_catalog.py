@@ -3,12 +3,14 @@ import threading
 
 import pytest
 
-from starnambu import PhaseExpr, UsageError
-from starnambu.catalog import (catalog, check_metric_identities,
+from starnambu import DomainError, PhaseExpr, UsageError
+from starnambu.catalog import (CheckOutcome, IdentityCheck, RunContext,
+                               _verdict, catalog, check_metric_identities,
                                check_so3_closure, check_quantum_correction,
-                               run_suite, select_entries)
+                               run_entry, run_suite, select_entries)
 from starnambu.cli import main
 from starnambu.models import get_model, sphere_geometry
+from starnambu.operators import ExactMatrix
 
 
 @pytest.fixture
@@ -120,6 +122,48 @@ class TestRunner:
             assert all(r.status == "pass" for r in first.results), glob
 
 
+class TestVerdict:
+    """The one rule that decides every catalog entry from its claims."""
+
+    def test_pass_gives_count_or_detail(self):
+        claims = [("phase", PhaseExpr.one(2), PhaseExpr.one(2)),
+                  ("matrix", ExactMatrix.identity(2), ExactMatrix.identity(2)),
+                  ("plain", 2, 2)]
+        assert _verdict(iter(claims)) == \
+            CheckOutcome("pass", "3 equalities hold exactly")
+        assert _verdict(iter(claims), "all three hold") == \
+            CheckOutcome("pass", "all three hold")
+
+    @pytest.mark.parametrize("got, want, witness", [
+        (PhaseExpr.coord(2, 0) + PhaseExpr.one(2), PhaseExpr.one(2), "x1"),
+        (ExactMatrix.identity(2), ExactMatrix.zeros(2),
+         "ExactMatrix(2, [0,0]=1, [1,1]=1)"),
+        (True, False, "True, not False"),
+    ])
+    def test_first_mismatch_fails_with_witness(self, got, want, witness):
+        claims = [("holds", 1, 1), ("breaks", got, want), ("also breaks", 1, 2)]
+        assert _verdict(iter(claims), "unused") == \
+            CheckOutcome("fail", "mismatch: breaks", witness)
+
+    def test_long_witness_is_cut(self):
+        out = _verdict(iter([("long", "x" * 1000, "")]))
+        assert out.status == "fail"
+        assert len(out.witness) == 403
+        assert out.witness == (repr("x" * 1000) + ", not ''")[:400] + "..."
+
+    def test_claims_after_the_mismatch_are_not_computed(self):
+        def claims(ctx):
+            yield "holds", 1, 1
+            yield "breaks", 1, 2
+            raise DomainError("computed past the first mismatch")
+
+        entry = IdentityCheck("ZZ-98", "star", "stops at its mismatch", "none",
+                              lambda ctx: _verdict(claims(ctx)))
+        row = run_entry(entry, RunContext())
+        assert (row.status, row.detail) == \
+            ("fail", "mismatch: breaks | witness: 1, not 2")
+
+
 class TestNegativeControls:
     """Deliberately perturbed fixtures must fail with printable witnesses."""
 
@@ -150,6 +194,22 @@ class TestNegativeControls:
         out = check_metric_identities(tampered, 2)
         assert out.status == "fail"
         assert out.witness not in ("", "0")
+
+    def test_flipped_charge_fails_registered_entry(self, monkeypatch):
+        from dataclasses import replace
+        import starnambu.catalog as cat
+
+        def flipped(name):
+            m = get_model(name)
+            if name != "sphere:2:+":
+                return m
+            return replace(m, charges={**m.charges, "Lx": -m.charge("Lx")})
+
+        monkeypatch.setattr(cat, "get_model", flipped)
+        row = run_suite(id_glob="S2-01").results[0]
+        assert row.status == "fail"
+        assert row.detail.startswith("mismatch: hemisphere +: pb(Lx,Ly) = Lz")
+        assert row.detail.split(" | witness: ")[1] not in ("", "0")
 
 
 class TestCli:

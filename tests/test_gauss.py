@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from starnambu.gauss import (GaussRational, QI, QONE, QZERO, qadd, qdiv,
-                             qfromfrac, qfromparts, qinv, qmul, qneg, qnorm,
-                             qpow_i, qre, qim, qsub)
+                             qfromfrac, qfromparts, qinv, qmul, qnorm,
+                             qpow_i, qre, qim)
 
 
 def rand_triple(rng):
@@ -40,7 +40,7 @@ def test_field_laws_random():
         assert qadd(qadd(a, b), c) == qadd(a, qadd(b, c))
         assert qmul(qmul(a, b), c) == qmul(a, qmul(b, c))
         assert qmul(a, qadd(b, c)) == qadd(qmul(a, b), qmul(a, c))
-        assert qadd(a, qneg(a)) == QZERO
+        assert qadd(a, (-a[0], -a[1], a[2])) == QZERO
         if a != QZERO:
             assert qmul(a, qinv(a)) == QONE
             assert qmul(qdiv(b, a), a) == b
@@ -54,7 +54,6 @@ def test_cross_check_against_fractions():
         gb = GaussRational.from_triple(b)
         assert GaussRational.from_triple(qadd(a, b)) == ga + gb
         assert GaussRational.from_triple(qmul(a, b)) == ga * gb
-        assert GaussRational.from_triple(qsub(a, b)) == ga - gb
 
 
 def test_boundary_view():

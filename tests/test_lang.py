@@ -230,3 +230,4 @@ class TestPrintCanonical:
         for name in ("Hqm", "IL", "R2"):
             e = m.charge(name)
             assert evaluate(print_canonical(e), b).equals(e)
+        assert evaluate("Lch[2]", b).equals(m.charge("Lch2"))

@@ -7,7 +7,7 @@ from starnambu import (DomainError, EvalPoint, PhaseExpr, moyal,
                        nambu_jacobian, poisson, star)
 from starnambu.models import (build_chiral_s3, build_gnomonic_s3, build_sphere,
                               canonical_model_names, chiral_dreibein,
-                              christoffel_correction, conservation_failures,
+                              christoffel_correction,
                               current_algebra_omega, fab, get_model,
                               half_charges, h_other, similarity_identities,
                               sphere_geometry, vielbein_current)
@@ -60,7 +60,9 @@ class TestSphere:
     def test_conservation(self):
         for name in ("sphere:2", "sphere:3", "sphere:4", "chiral-s3",
                      "gnomonic-s3"):
-            assert conservation_failures(get_model(name)) == []
+            m = get_model(name)
+            assert [c for c in m.conserved
+                    if not moyal(m.charge(c), m.h_quantum).is_zero()] == []
 
     def test_hemisphere_flip_leaves_nambu_invariant(self):
         rng = random.Random(41)

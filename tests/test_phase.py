@@ -165,6 +165,14 @@ class TestArithmetic:
             with pytest.raises(DomainError):
                 op(left, right)
 
+    def test_division_by_zero_raises_package_error(self):
+        # by a zero number this was a bare ZeroDivisionError from Fraction
+        one = PhaseExpr.one(2)
+        for zero in (0, Fraction(0), PhaseExpr.zero(2)):
+            with pytest.raises(DivisionByZero):
+                one / zero
+        assert (one / 4).equals(PhaseExpr.const(2, Fraction(1, 4)))
+
     def test_division_up_to_16_bit_exponents(self):
         # trial division of x1**65535*x2**2 by q2 = x1**2 + x2**2 forms the
         # remainder term x1**65537; that only shows q2 does not divide it,

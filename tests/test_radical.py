@@ -9,13 +9,14 @@ from starnambu.gauss import QONE
 from starnambu.phase import random_circle_point
 from starnambu.poly import (PONE, pack, padd, pconst, pmul, pneg, pscale, psub,
                             pvar)
-from starnambu.radical import (RONE, RZERO, RadicalCoeff, q2_poly, r_poly,
+from starnambu.radical import (RZERO, RadicalCoeff, q2_poly, r_poly,
                                radd, rbar_poly, rdenom, rderive,
                                rdivide_ihbar, requal, reval, rfrom_poly, rinv,
                                ris_zero, rmake, rmul, rneg, rs_coeff,
                                rscale, rsub, rw_coeff)
 
 N = 2
+RONE = RadicalCoeff(dict(PONE), {}, ())
 
 
 def rand_coeff(rng, with_denom=True):
