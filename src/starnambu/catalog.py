@@ -23,7 +23,6 @@ from .brackets import (SubsetCache, jordan, moyal, nambu_jacobian,
                        phase_algebra, poisson, qnb, resolve_qnb4, star,
                        star_commutator as comm, symplectic_trace)
 from .errors import StarNambuError, UsageError
-from .lang import print_canonical
 from .models import (Model, chiral_dreibein, christoffel_correction,
                      current_algebra_omega, eps_sum, fab, frame_current,
                      get_model, half_charges, h_other, similarity_identities,
@@ -34,7 +33,8 @@ from .operators import (ExactMatrix, SectorStack, chiral_block_rep,
                         oscillator_bracket_entries, oscillator_theorem_check,
                         random_sector_matrix, su2_cartesian, su2_casimir,
                         total_number_matrix)
-from .phase import EvalPoint, PhaseExpr
+from .phase import EvalPoint, PhaseExpr, print_canonical
+from .poly import padd, pmul, pscale
 
 Claim = Tuple[str, object, object]
 Claims = Iterator[Claim]
@@ -822,7 +822,6 @@ def _qn_09(ctx: RunContext) -> Claims:
 
 
 def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
-    from .poly import padd, pmul, pscale
     lam1, lam2 = lz.entry(row, row), lz.entry(col, col)
     rho1, rho2 = rz.entry(row, row), rz.entry(col, col)
     return padd(padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),

@@ -1,5 +1,7 @@
-"""Tokenizer, parser, evaluator, and canonical printer for the bracket
-expression language used by the command line.
+"""Tokenizer, parser and evaluator for the bracket expression language used
+by the command line.  The canonical printer, ``print_canonical``, lives in
+:mod:`starnambu.phase` beside the values it prints; it is importable from
+here too.
 
 Grammar (whitespace-insensitive):
 
@@ -28,11 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from .brackets import (jordan, moyal, nambu_jacobian, phase_algebra, poisson,
                        qnb, resolve_qnb4, star)
 from .errors import ArityError, DomainError, ExprSyntaxError, UnknownName
-from .gauss import qim, qre
-from .models import Model
-from .phase import PhaseExpr
-from .poly import BITS, MASK, grlex_key, unpack
-from .radical import rdenom
+from .models import Model, fab
+from .phase import PhaseExpr, print_canonical  # noqa: F401 (re-exported)
 
 FUNCTIONS = ("star", "pb", "mb", "nb", "qnb", "jordan", "res4", "diff",
              "divh", "h0")
@@ -275,9 +274,8 @@ class Binding:
                 return PhaseExpr.w_function(n)
         if self.model is not None:
             if base in ("fab", "fabC") and len(indices) == 2:
-                from .models import fab as model_fab
                 variant = "cartesian" if base == "fab" else "chiral"
-                return model_fab(self.model, indices[0], indices[1], variant)
+                return fab(self.model, indices[0], indices[1], variant)
             if key in self.model.charges:
                 return self.model.charges[key]
         raise UnknownName(key, span)
@@ -335,7 +333,8 @@ def _call(node: AstNode, binding: Binding) -> PhaseExpr:
 
     def need(count: int):
         if len(args) != count:
-            raise ArityError(f"{fn} takes exactly {count} arguments")
+            noun = "argument" if count == 1 else "arguments"
+            raise ArityError(f"{fn} takes exactly {count} {noun}")
 
     if fn == "diff":
         need(2)
@@ -380,109 +379,3 @@ def _call(node: AstNode, binding: Binding) -> PhaseExpr:
 
 def evaluate(text: str, binding: Binding) -> PhaseExpr:
     return evaluate_ast(parse(text), binding)
-
-
-# -- canonical printer ---------------------------------------------------
-
-
-def _frac_str(x: Fraction) -> str:
-    """Factor-ready rational: proper fractions get parenthesized."""
-    if x.denominator != 1 and x >= 0:
-        return f"({x})"
-    return str(x)
-
-
-def _scalar_parts(c) -> str:
-    """Render a scalar triple as a factor-ready string."""
-    re_, im = qre(c), qim(c)
-    if im == 0:
-        return _frac_str(re_)
-    if re_ == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{_frac_str(im)}*i"
-    return f"({re_} + {im}*i)".replace("+ -", "- ")
-
-
-def _poly_str(poly: dict, nvars: int) -> Tuple[str, bool]:
-    """Render an (x, hbar)-polynomial; returns (text, is_single_factor)."""
-    keys = sorted(poly, key=lambda k: grlex_key(k, nvars + 1), reverse=True)
-    monos = []
-    for key in keys:
-        factors = []
-        for idx in range(nvars + 1):
-            e = (key >> (BITS * idx)) & MASK
-            name = "hbar" if idx == nvars else f"x{idx + 1}"
-            factors.extend([name] * e)
-        head = _scalar_parts(poly[key])
-        if factors:
-            if head == "1":
-                monos.append("*".join(factors))
-            elif head == "-1":
-                monos.append("-" + "*".join(factors))
-            else:
-                monos.append("*".join([head] + factors))
-        else:
-            monos.append(head)
-    text = " + ".join(monos).replace("+ -", "- ")
-    return text, len(monos) == 1
-
-
-def _coeff_str(coeff, nvars: int) -> str:
-    num_a, num_b, _ = coeff
-    if num_a and not num_b:
-        text, single = _poly_str(num_a, nvars)
-        body = text if single else f"({text})"
-    elif num_b and not num_a:
-        text, single = _poly_str(num_b, nvars)
-        if text == "1":
-            body = "s"
-        elif text == "-1":
-            body = "-s"
-        else:
-            body = (text if single else f"({text})") + "*s"
-    else:
-        ta, sa = _poly_str(num_a, nvars)
-        tb, sb = _poly_str(num_b, nvars)
-        left = ta if sa else f"({ta})"
-        right = ("s" if tb == "1" else "-s" if tb == "-1" else
-                 f"{(tb if sb else f'({tb})')}*s")
-        body = f"({left} + {right})".replace("+ -", "- ")
-    denom = rdenom(coeff, nvars)
-    if not (len(denom) == 1 and denom.get(0) == (1, 0, 1)):
-        dtext, _ = _poly_str(denom, nvars)
-        body = f"{body}/({dtext})"
-    return body
-
-
-def print_canonical(expr: PhaseExpr) -> str:
-    """Deterministic text form; parse + evaluate gives back an equal value."""
-    if expr.is_zero():
-        return "0"
-    n = expr.n
-
-    def term_key(key: int):
-        exps = unpack(key, n)
-        return (sum(exps), exps)
-
-    parts = []
-    for key in sorted(expr.terms, key=term_key, reverse=True):
-        coeff = expr.terms[key]
-        pfactors = []
-        for idx in range(n):
-            e = (key >> (BITS * idx)) & MASK
-            pfactors.extend([f"p{idx + 1}"] * e)
-        body = _coeff_str(coeff, n)
-        if pfactors:
-            ppart = "*".join(pfactors)
-            if body == "1":
-                parts.append(ppart)
-            elif body == "-1":
-                parts.append("-" + ppart)
-            else:
-                parts.append(f"{body}*{ppart}")
-        else:
-            parts.append(body)
-    return " + ".join(parts).replace("+ -", "- ")

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
 from .gauss import qis_zero, qnorm, qpow_i
+from .phase import _poly_str
 from .poly import MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
 
 
@@ -170,7 +171,6 @@ class ExactMatrix:
         return dict(self._rows[i].get(j, {}))
 
     def __repr__(self):
-        from .lang import _poly_str
         cells = [f"[{i},{j}]={_poly_str(row[j], 0)[0]}"
                  for i, row in enumerate(self._rows) for j in sorted(row)]
         body = ", ".join(cells) if cells else "0"

@@ -7,22 +7,28 @@ guard bit.  Values are immutable after construction and every operation is
 pure.  Every sum of products of terms (a product, a Poisson bracket, a
 Nambu minor, a star sum) goes through ``add_products``, the one place
 momentum exponents are added, and is reduced once per output coefficient.
+
+``print_canonical`` writes the canonical text form.  One renderer,
+``_render``, writes every printed sum, highest graded-lex term first:
+momentum sums with coefficient heads (A + B*s)/D, and the (x, hbar)
+polynomials A, B and D with scalar heads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import DimensionError, DivisionByZero, DomainError
-from .gauss import GaussRational, qadd, qfromfrac, qmul, qnorm, qpow_i
-from .poly import (BITS, GUARD, MASK, PONE, overflow, pack, pack_one, phbar,
-                   pvar)
-from .radical import (RadicalCoeff, RZERO, racc, radd, rderive, rdivide_ihbar,
-                      rdivisible_hbar, requal, reval, ris_poly, ris_zero,
-                      rfrom_poly, rfrom_scalar, rinv, rmake, rmul, rneg,
-                      rs_coeff, rscale, rsub, rsubst_hbar_zero, rsums,
+from .gauss import (GaussRational, qadd, qfromfrac, qim, qmul, qnorm, qpow_i,
+                    qre)
+from .poly import (BITS, GUARD, MASK, PONE, Poly, grlex_key, overflow, pack,
+                   pack_one, phas_hbar, phbar, pmul, pvar)
+from .radical import (RadicalCoeff, RZERO, racc, radd, rdenom, rderive,
+                      rdivide_ihbar, rdivisible_hbar, requal, reval, ris_poly,
+                      ris_zero, rfrom_poly, rfrom_scalar, rinv, rmake, rmul,
+                      rneg, rs_coeff, rscale, rsub, rsubst_hbar_zero, rsums,
                       rtimes_ihbar, rw_coeff, r_poly)
 
 
@@ -269,8 +275,7 @@ class PhaseExpr:
         return f"PhaseExpr({self.n}, {self.text()})"
 
     def text(self) -> str:
-        """The canonical text form of :func:`starnambu.lang.print_canonical`."""
-        from .lang import print_canonical
+        """The canonical text form, :func:`print_canonical`."""
         return print_canonical(self)
 
 
@@ -342,8 +347,6 @@ def normalize_terms(n: int, raw: Iterable[RawTerm]) -> PhaseExpr:
     for a momentum exponent past p_n or a polynomial key with a field past
     the n coordinates and hbar.
     """
-    from .poly import phas_hbar, pmul
-
     acc: Dict[int, RadicalCoeff] = {}
     r = r_poly(n)
     limit = 1 << (BITS * (n + 1))
@@ -373,3 +376,78 @@ def normalize_terms(n: int, raw: Iterable[RawTerm]) -> PhaseExpr:
         prev = acc.get(key)
         acc[key] = coeff if prev is None else radd(prev, coeff, n)
     return PhaseExpr(n, acc)
+
+
+# -- canonical printer ---------------------------------------------------
+
+
+def print_canonical(expr: PhaseExpr) -> str:
+    """Deterministic text form; parse + evaluate gives back an equal value."""
+    n = expr.n
+    names = tuple(f"p{a}" for a in range(1, n + 1))
+    return _render(expr.terms, names, lambda c: _coeff_text(c, n))[0] or "0"
+
+
+def _render(terms: dict, names: Sequence[str],
+            head: Callable[[tuple], str]) -> Tuple[str, bool]:
+    """(text, is_single_term) of a packed-key sum, the highest graded-lex
+    term first: field i of a key is the power of names[i], and head prints
+    a coefficient as a factor."""
+    nf = len(names)
+    parts = []
+    for (_, exps), key in sorted([(grlex_key(k, nf), k) for k in terms],
+                                 reverse=True):
+        factors = "*".join([v for v, e in zip(names, exps) for _ in range(e)])
+        parts.append(_term(head(terms[key]), factors))
+    return _join(parts), len(parts) == 1
+
+
+def _join(parts: Sequence[str]) -> str:
+    """The sum of printed terms; a term that starts with "-" is subtracted.
+    A nested sum was joined here already, so its own signs are untouched."""
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _term(head: str, factors: str) -> str:
+    """head*factors, with a head of 1 or -1 left out."""
+    if factors and head in ("1", "-1"):
+        return head[:-1] + factors
+    return f"{head}*{factors}" if factors else head
+
+
+def _poly_str(poly: Poly, nvars: int) -> Tuple[str, bool]:
+    """(text, is_single_term) of a polynomial in x1..x_nvars and hbar."""
+    names = tuple(f"x{a}" for a in range(1, nvars + 1)) + ("hbar",)
+    return _render(poly, names, _scalar_text)
+
+
+def _poly_factor(poly: Poly, nvars: int) -> str:
+    text, single = _poly_str(poly, nvars)
+    return text if single else f"({text})"
+
+
+def _coeff_text(c: RadicalCoeff, n: int) -> str:
+    """(A + B*s)/D as a factor, with a zero part or a unit D left out."""
+    a, b, _ = c
+    parts = [_poly_factor(a, n)] if a else []
+    if b:
+        parts.append(_term(_poly_factor(b, n), "s"))
+    body = parts[0] if len(parts) == 1 else f"({_join(parts)})"
+    if (denom := rdenom(c, n)) != PONE:
+        body = f"{body}/({_poly_str(denom, n)[0]})"
+    return body
+
+
+def _scalar_text(c: tuple) -> str:
+    """A Gaussian rational as a factor: (1/2), -1/2, i, (1/2)*i, (1 - 2*i)."""
+    re_, im = qre(c), qim(c)
+    if im == 0:
+        return _frac_text(re_)
+    if re_ == 0:
+        return _term(_frac_text(im), "i")
+    return f"({_join([str(re_), f'{im}*i'])})"
+
+
+def _frac_text(x: Fraction) -> str:
+    """A rational as a factor: a positive proper fraction is parenthesized."""
+    return f"({x})" if x.denominator != 1 and x >= 0 else str(x)

@@ -120,6 +120,8 @@ class TestEvaluate:
             evaluate("divh(Lx, x1)", b)
         with pytest.raises(ArityError):
             evaluate("diff(Lx, Lx)", b)
+        with pytest.raises(ArityError, match=r"^h0 takes exactly 1 argument$"):
+            evaluate("h0(x1, x2)", b)
 
     def test_unknown_name(self):
         b = Binding(model=get_model("sphere:2"))
@@ -161,6 +163,15 @@ class TestPrintCanonical:
         ("1/(1+s)", "(1 - s)/(x1*x1 + x2*x2)"),
         ("diff(s, x1)", "x1*s/(x1*x1 + x2*x2 - 1)"),
         ("x1 - s", "(x1 - s)"),
+        ("-s", "-s"),
+        ("-i*x1", "-i*x1"),
+        ("(1/2 - i/3)*x2", "(1/2 - 1/3*i)*x2"),
+        ("x1*p1 - p2*p2", "-p2*p2 + x1*p1"),
+        ("-(x1 + x2)*s*p2", "(-x1 - x2)*s*p2"),
+        ("(x1*x1 + 1 - 2*s)/(1 + x1*x1)*p1",
+         "((x1*x1 + 1) - 2*s)/(x1*x1 + 1)*p1"),
+        ("1/2 - s/3", "((1/2) - 1/3*s)"),
+        ("(1 + i)*hbar*hbar*p2", "(1 + 1*i)*hbar*hbar*p2"),
     ])
     def test_radical_denominators_pinned(self, text, want):
         b = Binding(dimension=2)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from starnambu import (DimensionError, DivisionByZero, DomainError, EvalPoint,
                        InexactDivision, PhaseExpr, normalize_terms,
                        random_circle_point)
+import starnambu
 from starnambu.models import get_model
 from starnambu.poly import PONE, pack_one, phbar, pvar
 from starnambu.radical import rfrom_poly
@@ -346,3 +350,25 @@ class TestEquals:
         assert (x * px + one).is_polynomial
         assert not (s * px).is_polynomial
         assert not PhaseExpr.w_function(2).is_polynomial
+
+
+_PRINT_WITHOUT_LANG = """
+import sys
+from starnambu.operators import ExactMatrix
+from starnambu.phase import PhaseExpr
+print(PhaseExpr.one(2).text())
+print(repr(PhaseExpr.coord(2, 0)))
+print(repr(ExactMatrix.identity(2)))
+print([m for m in ("starnambu.lang", "starnambu.models") if m in sys.modules])
+"""
+
+
+def test_printing_a_value_loads_no_language_layer():
+    # a fresh interpreter: this session has imported the whole package
+    src = os.path.dirname(os.path.dirname(starnambu.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PRINT_WITHOUT_LANG],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["1", "PhaseExpr(2, x1)",
+                                "ExactMatrix(2, [0,0]=1, [1,1]=1)", "[]"]
