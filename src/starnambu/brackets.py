@@ -81,13 +81,14 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
     One row (beta, |beta|, xs) per nonzero H_f[beta] =
     (i*hbar/2)**|beta| / beta! * d_p^beta f, where xs maps an x-order alpha
     to d_x^alpha H_f[beta] as ``_xder`` fills it in.  xs[0] is H_f[beta]
-    itself, except in the row of order 0, whose entry f is not stored on
-    f: that would be a reference cycle.
+    itself.
     """
     if f._dcache is not None:
         return f._dcache
     n = f.n
-    table = [(0, 0, {})]
+    top = PhaseExpr(n, {})
+    top.terms = f.terms  # f's terms, not f: f would be a reference cycle
+    table = [(0, 0, {0: top})]
     entries = {0: f}
     for beta, total, _ in table:  # grows while it is walked, by order
         h = entries[beta]
@@ -103,9 +104,8 @@ def _half(f: PhaseExpr) -> List[Tuple[int, int, Dict[int, PhaseExpr]]]:
     return table
 
 
-def _xder(xs: Dict[int, PhaseExpr], alpha: int, f: PhaseExpr) -> PhaseExpr:
-    """d_x^alpha of a half-table entry, memoized in its row xs; f stands in
-    for the missing xs[0] of the order-0 row.
+def _xder(xs: Dict[int, PhaseExpr], alpha: int) -> PhaseExpr:
+    """d_x^alpha of a half-table entry, memoized in its row xs.
 
     Coefficients are left unreduced (``rderive_raw``): the star sum reduces
     each output coefficient once.  An order is reached from the one below
@@ -114,12 +114,10 @@ def _xder(xs: Dict[int, PhaseExpr], alpha: int, f: PhaseExpr) -> PhaseExpr:
     got = xs.get(alpha)
     if got is not None:
         return got
-    if not alpha:
-        return f
     a = 0
     while not (alpha >> (BITS * a)) & MASK:
         a += 1
-    h = _xder(xs, alpha - (1 << (BITS * a)), f)
+    h = _xder(xs, alpha - (1 << (BITS * a)))
     n = h.n
     got = xs[alpha] = PhaseExpr(n, {k: rderive_raw(c, a, n)
                                     for k, c in h.terms.items()})
@@ -150,10 +148,10 @@ def _star_sum(f: PhaseExpr, g: PhaseExpr, parity: Optional[int],
         for alpha, ta, gxs in gh:
             if parity is not None and (ta + tb) % 2 != parity:
                 continue
-            left = _xder(fxs, alpha, f)
+            left = _xder(fxs, alpha)
             if left.is_zero():
                 continue
-            add_products(acc, _xder(gxs, beta, g), left)
+            add_products(acc, _xder(gxs, beta), left)
     return PhaseExpr(n, rsums(pos, neg, weight, n))
 
 

@@ -55,10 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    suite = args.suite
-    if suite is None and args.id_glob is None:
-        suite = "all"
-    report = run_suite(suite=suite, id_glob=args.id_glob, seed=args.seed,
+    report = run_suite(suite=args.suite, id_glob=args.id_glob, seed=args.seed,
                        draws=args.n)
     if args.format == "json":
         print(report.to_json())

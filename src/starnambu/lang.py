@@ -12,11 +12,12 @@ Grammar (whitespace-insensitive):
     name   := IDENT ("[" INT ("," INT)* "]")?
     call   := FN "(" expr ("," expr)* ")"
     NUMBER := INT ("/" INT)?
+    INT    := [0-9]+
 
-FN is one of star, pb, mb, nb, qnb, jordan, res4, diff, divh, h0.  "/" is
-exact division (the right factor must be an invertible, momentum-free
-expression); it also lets the canonical coefficient form ((A)+(B)*s)/(D)
-round-trip through the parser.
+FN is one of star, pb, mb, nb, qnb, jordan, res4, diff, divh, h0.  Digits
+are ASCII only.  "/" is exact division (the right factor must be an
+invertible, momentum-free expression); it also lets the canonical
+coefficient form ((A)+(B)*s)/(D) round-trip through the parser.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .brackets import (jordan, moyal, nambu_jacobian, phase_algebra, poisson,
                        qnb, resolve_qnb4, star)
@@ -38,40 +39,32 @@ FUNCTIONS = ("star", "pb", "mb", "nb", "qnb", "jordan", "res4", "diff",
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+)?)
+  | (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[-+*/(),\[\]])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    pos: int
-
-    @property
-    def span(self) -> Tuple[int, int]:
-        return (self.pos, self.pos + len(self.text))
+    span: Tuple[int, int]
 
 
 def tokenize(text: str) -> List[Token]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}",
-                                  (pos, pos + 1))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}",
+                                  m.span())
         if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(Token("end", "", len(text)))
+            out.append(Token(m.lastgroup, m.group(), m.span()))
+    out.append(Token("end", "", (len(text), len(text))))
     return out
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(NamedTuple):
     kind: str
     span: Tuple[int, int]
     value: Optional[Fraction] = None
@@ -81,137 +74,115 @@ class AstNode:
     fn: Optional[str] = None
 
 
+_SUMS, _PRODUCTS = {"+": "add", "-": "sub"}, {"*": "mul", "/": "div"}
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
+    def take(self, symbols) -> Optional[Token]:
+        """The next token, consumed, when it is one of the symbols."""
         tok = self.tokens[self.i]
-        self.i += 1
+        if tok.kind == "sym" and tok.text in symbols:
+            self.i += 1
+            return tok
+        return None
+
+    def chain(self, operand, ops: Dict[str, str]) -> AstNode:
+        """operand (op operand)*, nested to the left; ops maps each operator
+        symbol to its node kind."""
+        node = operand()
+        while True:
+            tok = self.take(ops)
+            if tok is None:
+                return node
+            rhs = operand()
+            node = AstNode(ops[tok.text], (node.span[0], rhs.span[1]),
+                           children=(node, rhs))
+
+    def expect(self, close: str, expected: Tuple[str, ...]) -> Token:
+        tok = self.take(close)
+        if tok is None:
+            tok = self.tokens[self.i]
+            raise ExprSyntaxError(
+                f"expected {' or '.join(repr(e) for e in expected)}",
+                tok.span, expected)
         return tok
 
-    def expect(self, text: str, expected: Tuple[str, ...]) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == text:
-            return self.advance()
-        raise ExprSyntaxError(
-            f"expected {' or '.join(repr(e) for e in expected)}",
-            tok.span, expected)
+    def listed(self, item, close: str):
+        """item ("," item)* close: the items and the closing token."""
+        items = [item()]
+        while self.take(","):
+            items.append(item())
+        return tuple(items), self.expect(close, (close, ","))
 
-    def parse_expr(self) -> AstNode:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                kind = "add" if tok.text == "+" else "sub"
-                node = AstNode(kind, (node.span[0], rhs.span[1]),
-                               children=(node, rhs))
-            else:
-                return node
+    def expr(self) -> AstNode:
+        return self.chain(self.term, _SUMS)
 
-    def parse_term(self) -> AstNode:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                kind = "mul" if tok.text == "*" else "div"
-                node = AstNode(kind, (node.span[0], rhs.span[1]),
-                               children=(node, rhs))
-            else:
-                return node
+    def term(self) -> AstNode:
+        return self.chain(self.factor, _PRODUCTS)
 
-    def parse_factor(self) -> AstNode:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
-            inner = self.parse_factor()
-            return AstNode("neg", (tok.pos, inner.span[1]), children=(inner,))
-        return self.parse_atom()
+    def index(self) -> int:
+        tok = self.tokens[self.i]
+        if tok.kind != "number" or "/" in tok.text:
+            raise ExprSyntaxError("expected an integer index", tok.span,
+                                  ("INT",))
+        self.i += 1
+        return int(tok.text)
 
-    def parse_atom(self) -> AstNode:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                if int(den) == 0:
-                    raise ExprSyntaxError("zero denominator in literal",
-                                          tok.span, ("NUMBER",))
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(tok.text))
-            return AstNode("number", tok.span, value=value)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
-                return AstNode("imag", tok.span)
-            if tok.text == "hbar":
-                return AstNode("hbar", tok.span)
-            nxt = self.peek()
-            if tok.text in FUNCTIONS and nxt.kind == "sym" and nxt.text == "(":
-                self.advance()
-                args = [self.parse_expr()]
-                while True:
-                    sep = self.peek()
-                    if sep.kind == "sym" and sep.text == ",":
-                        self.advance()
-                        args.append(self.parse_expr())
-                        continue
-                    close = self.expect(")", (")", ","))
-                    return AstNode("call", (tok.pos, close.span[1]),
-                                   fn=tok.text, children=tuple(args))
-            indices: Tuple[int, ...] = ()
-            if nxt.kind == "sym" and nxt.text == "[":
-                self.advance()
-                idx = []
-                while True:
-                    num = self.peek()
-                    if num.kind != "number" or "/" in num.text:
-                        raise ExprSyntaxError("expected an integer index",
-                                              num.span, ("INT",))
-                    self.advance()
-                    idx.append(int(num.text))
-                    sep = self.peek()
-                    if sep.kind == "sym" and sep.text == ",":
-                        self.advance()
-                        continue
-                    close = self.expect("]", ("]", ","))
-                    indices = tuple(idx)
-                    return AstNode("name", (tok.pos, close.span[1]),
-                                   base=tok.text, indices=indices)
-            return AstNode("name", tok.span, base=tok.text)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
+    def factor(self) -> AstNode:
+        kind, text, span = self.tokens[self.i]
+        if self.take("-"):
+            inner = self.factor()
+            return AstNode("neg", (span[0], inner.span[1]), children=(inner,))
+        if self.take("("):
+            inner = self.expr()
             close = self.expect(")", (")",))
-            return AstNode("group", (tok.pos, close.span[1]), children=(inner,))
+            return AstNode("group", (span[0], close.span[1]),
+                           children=(inner,))
+        self.i += 1
+        if kind == "number":
+            num, _, den = text.partition("/")
+            if den and int(den) == 0:
+                raise ExprSyntaxError("zero denominator in literal",
+                                      span, ("NUMBER",))
+            return AstNode("number", span,
+                           value=Fraction(int(num), int(den or 1)))
+        if kind == "ident":
+            if text == "i":
+                return AstNode("imag", span)
+            if text == "hbar":
+                return AstNode("hbar", span)
+            if text in FUNCTIONS and self.take("("):
+                args, close = self.listed(self.expr, ")")
+                return AstNode("call", (span[0], close.span[1]), fn=text,
+                               children=args)
+            if self.take("["):
+                indices, close = self.listed(self.index, "]")
+                return AstNode("name", (span[0], close.span[1]), base=text,
+                               indices=indices)
+            return AstNode("name", span, base=text)
         raise ExprSyntaxError(
             "expected a number, name, call, or parenthesized expression",
-            tok.span, ("NUMBER", "IDENT", "(",))
+            span, ("NUMBER", "IDENT", "("))
 
 
 def parse(text: str) -> AstNode:
     parser = _Parser(tokenize(text))
     try:
-        node = parser.parse_expr()
+        node = parser.expr()
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply",
                               (0, len(text)), ())
-    tail = parser.peek()
+    tail = parser.tokens[parser.i]
     if tail.kind != "end":
         raise ExprSyntaxError("unexpected trailing input", tail.span, ("end",))
     return node
 
 
-_COMPACT_VAR = re.compile(r"^([xpQ])(\d+)$")
+_COMPACT_VAR = re.compile(r"^([xpQ])([0-9]+)$")
 _LETTER_VARS = {"x": ("x", 1), "y": ("x", 2), "z": ("x", 3),
                 "px": ("p", 1), "py": ("p", 2), "pz": ("p", 3)}
 
@@ -232,27 +203,34 @@ def _decode_var(base: str, indices: Tuple[int, ...]):
 
 @dataclass
 class Binding:
-    """Name resolution context: a model and/or extra named expressions."""
+    """Name resolution context: a model and/or extra named expressions.
+
+    The dimension defaults to the model's, else to the first extra value's.
+    A dimension below 1, or a model or extra value of another dimension, is
+    a DomainError.
+    """
 
     model: Optional[Model] = None
     dimension: Optional[int] = None
     extra: Dict[str, PhaseExpr] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in self.extra:
+        model = self.model
+        dims = [(f"model {model.name}", model.n)] if model else []
+        for name, value in self.extra.items():
             if name in FUNCTIONS or name in ("i", "hbar"):
                 raise DomainError(f"binding name {name!r} shadows a reserved word")
+            dims.append((f"binding name {name!r}", value.n))
         if self.dimension is None:
-            if self.model is not None:
-                self.dimension = self.model.n
-            elif self.extra:
-                self.dimension = next(iter(self.extra.values())).n
-            else:
+            if not dims:
                 raise DomainError("binding needs a model, dimension, or names")
-
-    @property
-    def n(self) -> int:
-        return self.dimension
+            self.dimension = dims[0][1]
+        if self.dimension < 1:
+            raise DomainError(f"binding dimension {self.dimension} is below 1")
+        for what, n in dims:
+            if n != self.dimension:
+                raise DomainError(
+                    f"{what} has dimension {n}, not {self.dimension}")
 
     def resolve(self, base: str, indices: Tuple[int, ...], span) -> PhaseExpr:
         n = self.dimension
@@ -281,23 +259,12 @@ class Binding:
         raise UnknownName(key, span)
 
 
-def _as_var(node: AstNode, binding: Binding):
-    """Interpret a name node as a differentiation variable."""
-    if node.kind != "name":
-        raise ArityError("diff needs a coordinate or momentum name")
-    var = _decode_var(node.base, node.indices)
-    if var is None:
-        raise ArityError(f"cannot differentiate with respect to {node.base!r}")
-    return (var[0], var[1] - 1)
-
-
 _BINARY = {"add": operator.add, "sub": operator.sub,
            "mul": operator.mul, "div": operator.truediv}
 
 
 def evaluate_ast(node: AstNode, binding: Binding) -> PhaseExpr:
-    n = binding.dimension
-    kind = node.kind
+    n, kind = binding.dimension, node.kind
     if kind == "number":
         return PhaseExpr.const(n, node.value)
     if kind == "imag":
@@ -326,55 +293,54 @@ def evaluate_ast(node: AstNode, binding: Binding) -> PhaseExpr:
     raise DomainError(f"unhandled node kind {kind!r}")
 
 
+_ARITY = {"diff": 2, "divh": 2, "h0": 1, "star": 2, "pb": 2, "mb": 2,
+          "res4": 4}
+# these check their arity first; the others evaluate their arguments first
+_ARITY_FIRST = ("diff", "divh", "h0")
+
+
 def _call(node: AstNode, binding: Binding) -> PhaseExpr:
-    fn = node.fn
-    args = node.children
-    n = binding.dimension
-
-    def need(count: int):
-        if len(args) != count:
-            noun = "argument" if count == 1 else "arguments"
-            raise ArityError(f"{fn} takes exactly {count} {noun}")
-
-    if fn == "diff":
-        need(2)
-        target = evaluate_ast(args[0], binding)
-        kind, index = _as_var(args[1], binding)
-        if not 0 <= index < n:
-            raise ArityError(f"variable index out of range for dimension {n}")
-        return target.diff_x(index) if kind == "x" else target.diff_p(index)
-    if fn == "divh":
-        need(2)
-        target = evaluate_ast(args[0], binding)
-        power = args[1]
-        if power.kind != "number" or power.value.denominator != 1 or power.value < 0:
-            raise ArityError("divh needs a non-negative integer power")
-        return target.divide_exact_hbar(int(power.value))
-    if fn == "h0":
-        need(1)
-        return evaluate_ast(args[0], binding).subst_hbar_zero()
-    values = [evaluate_ast(a, binding) for a in args]
-    if fn == "star":
-        need(2)
-        return star(values[0], values[1])
-    if fn == "pb":
-        need(2)
-        return poisson(values[0], values[1])
-    if fn == "mb":
-        need(2)
-        return moyal(values[0], values[1])
+    fn, args, n = node.fn, node.children, binding.dimension
+    values = ([] if fn in _ARITY_FIRST
+              else [evaluate_ast(a, binding) for a in args])
+    count = _ARITY.get(fn, len(args))
+    if len(args) != count:
+        noun = "argument" if count == 1 else "arguments"
+        raise ArityError(f"{fn} takes exactly {count} {noun}")
+    # built per call, so that rebinding these module names (as perfbench's
+    # tracer does) takes effect
+    pair = {"star": star, "pb": poisson, "mb": moyal}.get(fn)
+    if pair is not None:
+        return pair(*values)
+    if fn == "res4":
+        return resolve_qnb4(*values, phase_algebra(n))
     if fn == "nb":
         if len(values) != 2 * n:
             raise ArityError(f"nb takes exactly {2 * n} arguments in dimension {n}")
         return nambu_jacobian(values)
-    if fn == "res4":
-        need(4)
-        return resolve_qnb4(*values, phase_algebra(n))
     if fn == "qnb":
         return qnb(values, phase_algebra(n)).value
     if fn == "jordan":
         return jordan(values, phase_algebra(n)).value
-    raise DomainError(f"unknown function {fn!r}")
+    if fn not in _ARITY_FIRST:
+        raise DomainError(f"unknown function {fn!r}")
+    target = evaluate_ast(args[0], binding)
+    if fn == "h0":
+        return target.subst_hbar_zero()
+    arg = args[1]
+    if fn == "divh":
+        if arg.kind != "number" or arg.value.denominator != 1 or arg.value < 0:
+            raise ArityError("divh needs a non-negative integer power")
+        return target.divide_exact_hbar(int(arg.value))
+    if arg.kind != "name":
+        raise ArityError("diff needs a coordinate or momentum name")
+    var = _decode_var(arg.base, arg.indices)
+    if var is None:
+        raise ArityError(f"cannot differentiate with respect to {arg.base!r}")
+    kind, a = var
+    if not 1 <= a <= n:
+        raise ArityError(f"variable index out of range for dimension {n}")
+    return target.diff_x(a - 1) if kind == "x" else target.diff_p(a - 1)
 
 
 def evaluate(text: str, binding: Binding) -> PhaseExpr:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from starnambu import ArityError, ExprSyntaxError, PhaseExpr, UnknownName
+from starnambu import (ArityError, DomainError, ExprSyntaxError, PhaseExpr,
+                       UnknownName)
 from starnambu.lang import Binding, evaluate, parse, print_canonical
 from starnambu.models import get_model
 from tests.test_phase import rand_expr
@@ -63,6 +64,67 @@ class TestParse:
             parse("(" * 5000 + "1" + ")" * 5000)
         with pytest.raises(ExprSyntaxError):
             parse("")
+
+    def test_every_rule_tree_pinned(self):
+        def shape(node):
+            return (node.kind, node.span, node.value, node.base, node.indices,
+                    node.fn, tuple(shape(c) for c in node.children))
+
+        got = shape(parse("-qnb(x[1], 3/4*p1, (hbar - i)) / L[1,2] + s"))
+        hbar = ("hbar", (20, 24), None, None, (), None, ())
+        imag = ("imag", (27, 28), None, None, (), None, ())
+        sub = ("sub", (20, 28), None, None, (), None, (hbar, imag))
+        mul = ("mul", (11, 17), None, None, (), None, (
+            ("number", (11, 14), Fraction(3, 4), None, (), None, ()),
+            ("name", (15, 17), None, "p1", (), None, ())))
+        call = ("call", (1, 30), None, None, (), "qnb", (
+            ("name", (5, 9), None, "x", (1,), None, ()),
+            mul,
+            ("group", (19, 29), None, None, (), None, (sub,))))
+        div = ("div", (0, 39), None, None, (), None, (
+            ("neg", (0, 30), None, None, (), None, (call,)),
+            ("name", (33, 39), None, "L", (1, 2), None, ())))
+        assert got == ("add", (0, 43), None, None, (), None, (
+            div, ("name", (42, 43), None, "s", (), None, ())))
+
+    @pytest.mark.parametrize("text, message, span, expected", [
+        ("x[1] $ 2", "unexpected character '$'", (5, 6), ()),
+        ("qnb(f, Lx, Ly", "expected ')' or ','", (13, 13), (")", ",")),
+        ("pb(x1 x2)", "expected ')' or ','", (6, 8), (")", ",")),
+        ("L[1, 2", "expected ']' or ','", (6, 6), ("]", ",")),
+        ("(1 + 2", "expected ')'", (6, 6), (")",)),
+        ("x[1/2]", "expected an integer index", (2, 5), ("INT",)),
+        ("x[]", "expected an integer index", (2, 3), ("INT",)),
+        ("1/0", "zero denominator in literal", (0, 3), ("NUMBER",)),
+        ("x1 +", "expected a number, name, call, or parenthesized expression",
+         (4, 4), ("NUMBER", "IDENT", "(")),
+        ("h0()", "expected a number, name, call, or parenthesized expression",
+         (3, 4), ("NUMBER", "IDENT", "(")),
+        ("1 2", "unexpected trailing input", (2, 3), ("end",)),
+        ("f(1)", "unexpected trailing input", (1, 2), ("end",)),
+        ("1 2 $", "unexpected character '$'", (4, 5), ()),
+        ("(" * 5000 + "1" + ")" * 5000, "expression nested too deeply",
+         (0, 10001), ()),
+    ], ids=["bad-char", "call-close", "call-comma", "index-close",
+            "group-close", "fraction-index", "empty-index", "zero-denominator",
+            "missing-atom", "empty-call", "trailing", "trailing-call",
+            "bad-char-wins", "too-deep"])
+    def test_syntax_error_pinned(self, text, message, span, expected):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert (err.value.message, err.value.span, err.value.expected) == (
+            message, span, expected)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("\u0663*x1", 0),        # ARABIC-INDIC DIGIT THREE
+        ("x[\u0662]", 2),        # ARABIC-INDIC DIGIT TWO
+        ("\uff11/\uff12", 0),    # FULLWIDTH DIGIT ONE, TWO
+    ])
+    def test_numbers_are_ascii_digits(self, text, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.message == f"unexpected character {text[pos]!r}"
+        assert err.value.span == (pos, pos + 1)
 
 
 class TestEvaluate:
@@ -146,6 +208,35 @@ class TestEvaluate:
         assert evaluate("f - f", b).is_zero()
         with pytest.raises(Exception):
             Binding(dimension=2, extra={"star": f})
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("pb(Nope)", UnknownName, "unknown name: Nope"),
+        ("nb(Nope)", UnknownName, "unknown name: Nope"),
+        ("star(x1, Nope, p1)", UnknownName, "unknown name: Nope"),
+        ("res4(Nope)", UnknownName, "unknown name: Nope"),
+        ("diff(Nope, Nope)", UnknownName, "unknown name: Nope"),
+        ("divh(Nope, 1/2)", UnknownName, "unknown name: Nope"),
+        ("h0(Nope, x1)", ArityError, "h0 takes exactly 1 argument"),
+        ("diff(Nope)", ArityError, "diff takes exactly 2 arguments"),
+    ])
+    def test_which_error_wins(self, text, error, message):
+        b = Binding(model=get_model("sphere:2"))
+        with pytest.raises(error) as err:
+            evaluate(text, b)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("model, dimension, extra", [
+        ("sphere:3", 2, {}),
+        (None, 2, {"f": 3}),
+        (None, None, {"f": 2, "g": 3}),
+        (None, 0, {}),
+        (None, -1, {}),
+    ], ids=["model", "extra", "mixed-extra", "zero", "negative"])
+    def test_binding_refuses_inconsistent_dimensions(self, model, dimension,
+                                                      extra):
+        with pytest.raises(DomainError):
+            Binding(model=model and get_model(model), dimension=dimension,
+                    extra={k: PhaseExpr.one(n) for k, n in extra.items()})
 
 
 class TestPrintCanonical:
