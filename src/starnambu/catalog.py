@@ -6,7 +6,9 @@ models or bracket operations, registered together with its metadata by the
 first claim with ``got != want`` fails it, and the witness prints the
 normalized difference of the two sides so a mismatch pinpoints the offending
 hbar order.  There are no tolerances anywhere.  Entries are deterministic
-given the run seed.
+given the run seed.  Each Lie-algebra closure is one pair rule,
+:func:`_pair_claims`: a labelled basis and its structure constants, checked on
+every ordered pair.
 """
 
 from __future__ import annotations
@@ -134,11 +136,31 @@ def random_phase(n: int, rng: random.Random, pdeg: int = 2, xdeg: int = 2,
 # -- shared claims (parameterized so tests can tamper inputs) -------------
 
 
+def _pair_claims(name: str, bracket, basis: Dict[str, object], want,
+                 prefix: str = "") -> Claims:
+    """``name(a,b)``: bracket(basis[a], basis[b]) = want(a, b) for every
+    ordered pair of labels, so a closure states its structure constants once."""
+    for a in basis:
+        for b in basis:
+            yield f"{prefix}{name}({a},{b})", bracket(basis[a], basis[b]), want(a, b)
+
+
+def _eps_rule(triples, image, zero):
+    """want(a, b) = sum_k eps_ijk image(t[k]) when a = t[i] and b = t[j] lie in
+    one triple t, else zero: the structure constants of su(2) x ... x su(2)."""
+    def want(a, b):
+        for t in triples:
+            if a in t and b in t:
+                return eps_sum(t.index(a), t.index(b), lambda k: image(t[k]), zero)
+        return zero
+    return want
+
+
 def _so3_claims(lx: PhaseExpr, ly: PhaseExpr, lz: PhaseExpr,
                 prefix: str = "") -> Claims:
-    yield f"{prefix}pb(Lx,Ly) = Lz", poisson(lx, ly), lz
-    yield f"{prefix}pb(Ly,Lz) = Lx", poisson(ly, lz), lx
-    yield f"{prefix}pb(Lz,Lx) = Ly", poisson(lz, lx), ly
+    basis = {"Lx": lx, "Ly": ly, "Lz": lz}
+    yield from _pair_claims("pb", poisson, basis, _eps_rule(
+        [tuple(basis)], basis.__getitem__, PhaseExpr.zero(lx.n)), prefix)
 
 
 def check_so3_closure(lx: PhaseExpr, ly: PhaseExpr, lz: PhaseExpr) -> CheckOutcome:
@@ -209,12 +231,9 @@ def _s2_01(ctx: RunContext) -> Claims:
         '§2, "MBs collapse to PBs"')
 def _s2_02(ctx: RunContext) -> Claims:
     m = get_model("sphere:2")
-    names = ("Lx", "Ly", "Lz")
-    for a in names:
-        for b in names:
-            yield (f"mb({a},{b}) collapses to pb",
-                   moyal(m.charge(a), m.charge(b)),
-                   poisson(m.charge(a), m.charge(b)))
+    basis = {name: m.charge(name) for name in ("Lx", "Ly", "Lz")}
+    yield from _pair_claims("mb", moyal, basis,
+                            lambda a, b: poisson(basis[a], basis[b]))
 
 
 @_entry("S2-03", "s2", "quantum correction (hbar^2/8)(1/(1-x^2-y^2) - 3)",
@@ -276,59 +295,27 @@ def _sn_01(ctx: RunContext) -> Claims:
     for n in (3, 4):
         m = get_model(f"sphere:{n}")
         zero = PhaseExpr.zero(n)
-        charges = {}
-        for a in range(n):
-            charges[("P", a)] = m.charge(f"P{a + 1}")
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                key = f"L{min(a, b) + 1}{max(a, b) + 1}"
-                lab = m.charge(key)
-                charges[("L", a, b)] = lab if a < b else -lab
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                yield (f"N={n}: {{P{a + 1},P{b + 1}}} = L",
-                       poisson(charges[("P", a)], charges[("P", b)]),
-                       charges[("L", a, b)])
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    want = zero
-                    if a == c:
-                        want = want + charges[("P", b)]
-                    if b == c:
-                        want = want - charges[("P", a)]
-                    yield (f"N={n}: {{L{a + 1}{b + 1},P{c + 1}}}",
-                           poisson(charges[("L", a, b)], charges[("P", c)]),
-                           want)
+        # so(N+1) generators J_AB, A < B, with J_0a = P_a and J_ab = L_ab
+        index = {f"P{b}" if a == 0 else f"L{a}{b}": (a, b)
+                 for a in range(n + 1) for b in range(a + 1, n + 1)}
+        basis = {label: m.charge(label) for label in index}
+        j = {}  # J_BA = -J_AB; J_AA = 0 is the missing key
+        for label, (a, b) in index.items():
+            j[a, b], j[b, a] = basis[label], -basis[label]
 
-        def ell(u: int, v: int) -> PhaseExpr:
-            return zero if u == v else charges[("L", u, v)]
+        def so(u: str, v: str) -> PhaseExpr:
+            """{J_AB, J_CD} = d_AC J_BD + d_BD J_AC - d_BC J_AD - d_AD J_BC,
+            summed as d_PQ J_RT terms with -J_AD = J_DA and -J_BC = J_CB."""
+            (a, b), (c, d) = index[u], index[v]
+            return sum((j[r, t] for p, q, r, t in ((a, c, b, d), (b, d, a, c),
+                                                  (b, c, d, a), (a, d, c, b))
+                        if p == q and (r, t) in j), zero)
 
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    for d in range(c + 1, n):
-                        want = zero
-                        if a == c:
-                            want = want + ell(b, d)
-                        if b == d:
-                            want = want + ell(a, c)
-                        if b == c:
-                            want = want - ell(a, d)
-                        if a == d:
-                            want = want - ell(b, c)
-                        yield (f"N={n}: {{L{a + 1}{b + 1},L{c + 1}{d + 1}}}",
-                               poisson(charges[("L", a, b)], charges[("L", c, d)]),
-                               want)
-        items = list(charges.values())
+        yield from _pair_claims("pb", poisson, basis, so, f"N={n}: ")
+        items = list(basis.values())
         rng = ctx.rng("SN-01")
         for _ in range(ctx.repeats(6)):
-            u = items[rng.randrange(len(items))]
-            v = items[rng.randrange(len(items))]
+            u, v = rng.choice(items), rng.choice(items)
             yield f"N={n}: mb collapses to pb", moyal(u, v), poisson(u, v)
 
 
@@ -371,15 +358,12 @@ def _sn_04(ctx: RunContext) -> Claims:
 def _sn_05(ctx: RunContext) -> Claims:
     for n in (2, 3):
         m = get_model(f"sphere:{n}")
-        for j in range(n):
-            for k in range(n):
-                cur_j = vielbein_current(m, j)
-                cur_k = vielbein_current(m, k)
-                omega = current_algebra_omega(m, j, k)
-                yield (f"N={n}: mb of currents ({j + 1},{k + 1})",
-                       moyal(cur_j, cur_k), omega)
-                yield (f"N={n}: pb of currents ({j + 1},{k + 1})",
-                       poisson(cur_j, cur_k), omega)
+        basis = {f"V{j + 1}": vielbein_current(m, j) for j in range(n)}
+        omega = {(a, b): current_algebra_omega(m, j, k)
+                 for j, a in enumerate(basis) for k, b in enumerate(basis)}
+        for name, bracket in (("mb", moyal), ("pb", poisson)):
+            yield from _pair_claims(name, bracket, basis,
+                                    lambda a, b: omega[a, b], f"N={n}: ")
         yield (f"N={n}: omega antisymmetry",
                current_algebra_omega(m, 0, 0), PhaseExpr.zero(n))
 
@@ -426,24 +410,14 @@ def _sn_08(ctx: RunContext) -> Claims:
             "structure constants 2*eps, their halves with eps"))
 def _ch_01(ctx: RunContext) -> Claims:
     m = get_model("chiral-s3")
-    lh, rh = half_charges(m)
     zero = PhaseExpr.zero(3)
-    for i in range(3):
-        for j in range(3):
-            want_r = eps_sum(i, j, lambda k: m.charge(f"R{k + 1}")
-                             .scale_fraction(2), zero)
-            want_l = eps_sum(i, j, lambda k: m.charge(f"Lch{k + 1}")
-                             .scale_fraction(2), zero)
-            yield (f"{{R{i + 1},R{j + 1}}} = 2 eps R",
-                   poisson(m.charge(f"R{i + 1}"), m.charge(f"R{j + 1}")), want_r)
-            yield (f"{{L{i + 1},L{j + 1}}} = 2 eps L",
-                   poisson(m.charge(f"Lch{i + 1}"), m.charge(f"Lch{j + 1}")),
-                   want_l)
-            yield (f"{{L{i + 1},R{j + 1}}} = 0",
-                   poisson(m.charge(f"Lch{i + 1}"), m.charge(f"R{j + 1}")), zero)
-            yield (f"half-normalized [L{i + 1},L{j + 1}]* = i hbar eps L",
-                   comm(lh[i], lh[j]),
-                   eps_sum(i, j, lambda k: lh[k].times_ihbar(1), zero))
+    triples = [("R1", "R2", "R3"), ("Lch1", "Lch2", "Lch3")]
+    basis = {label: m.charge(label) for t in triples for label in t}
+    yield from _pair_claims("pb", poisson, basis, _eps_rule(
+        triples, lambda k: basis[k].scale_fraction(2), zero))
+    half = dict(zip(triples[1], half_charges(m)[0]))
+    yield from _pair_claims("comm", comm, half, _eps_rule(
+        triples[1:], lambda k: half[k].times_ihbar(1), zero), "half-normalized ")
 
 
 @_entry("CH-02", "chiral", "axial and isospin combinations",
@@ -949,20 +923,23 @@ def _os_01(ctx: RunContext) -> Claims:
     for n in (2, 3):
         for total in (1, 2, 3):
             stack = SectorStack(n, [total])
-            mats = {(i, j): number_matrix(n, stack, i, j)
-                    for i in range(1, n + 1) for j in range(1, n + 1)}
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            lhs = mcomm(mats[(i, j)], mats[(k, l)])
-                            rhs = ExactMatrix.zeros(stack.dim)
-                            if j == k:
-                                rhs = rhs + mats[(i, l)].times_hbar(1)
-                            if i == l:
-                                rhs = rhs - mats[(k, j)].times_hbar(1)
-                            yield (f"u({n}) closure at N{i}{j}, N{k}{l} on the "
-                                   f"total={total} sector", lhs, rhs)
+            index = {f"N{i}{j}": (i, j)
+                     for i in range(1, n + 1) for j in range(1, n + 1)}
+            basis = {label: number_matrix(n, stack, *ij)
+                     for label, ij in index.items()}
+
+            def un(u: str, v: str) -> ExactMatrix:
+                """[N_ij, N_kl] = hbar (d_jk N_il - d_il N_kj)."""
+                (i, j), (k, l) = index[u], index[v]
+                want = ExactMatrix.zeros(stack.dim)
+                if j == k:
+                    want = want + basis[f"N{i}{l}"].times_hbar(1)
+                if i == l:
+                    want = want - basis[f"N{k}{j}"].times_hbar(1)
+                return want
+
+            yield from _pair_claims("comm", mcomm, basis, un,
+                                    f"u({n}) on the total={total} sector: ")
             expected = ExactMatrix.identity(stack.dim) \
                 .times_hbar(1).scale_fraction(total)
             yield (f"u({n}): sum of N_ii is hbar*{total} on its sector",

@@ -17,7 +17,9 @@ Grammar (whitespace-insensitive):
 FN is one of star, pb, mb, nb, qnb, jordan, res4, diff, divh, h0.  Digits
 are ASCII only.  "/" is exact division (the right factor must be an
 invertible, momentum-free expression); it also lets the canonical
-coefficient form ((A)+(B)*s)/(D) round-trip through the parser.
+coefficient form ((A)+(B)*s)/(D) round-trip through the parser.  Unary
+minus, parentheses and calls nest at most 64 levels (MAX_NESTING); deeper
+input is the syntax error "expression nested too deeply".
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ class AstNode(NamedTuple):
 
 
 _SUMS, _PRODUCTS = {"+": "add", "-": "sub"}, {"*": "mul", "/": "div"}
+MAX_NESTING = 64
 
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def take(self, symbols) -> Optional[Token]:
         """The next token, consumed, when it is one of the symbols."""
@@ -118,6 +122,16 @@ class _Parser:
             items.append(item())
         return tuple(items), self.expect(close, (close, ","))
 
+    def nested(self, inner, *args):
+        """inner(*args) one level down; past MAX_NESTING levels it fails as
+        Python's recursion limit does, and parse reports both alike."""
+        if self.depth == MAX_NESTING:
+            raise RecursionError(f"more than {MAX_NESTING} nesting levels")
+        self.depth += 1
+        node = inner(*args)
+        self.depth -= 1
+        return node
+
     def expr(self) -> AstNode:
         return self.chain(self.term, _SUMS)
 
@@ -135,10 +149,10 @@ class _Parser:
     def factor(self) -> AstNode:
         kind, text, span = self.tokens[self.i]
         if self.take("-"):
-            inner = self.factor()
+            inner = self.nested(self.factor)
             return AstNode("neg", (span[0], inner.span[1]), children=(inner,))
         if self.take("("):
-            inner = self.expr()
+            inner = self.nested(self.expr)
             close = self.expect(")", (")",))
             return AstNode("group", (span[0], close.span[1]),
                            children=(inner,))
@@ -156,7 +170,7 @@ class _Parser:
             if text == "hbar":
                 return AstNode("hbar", span)
             if text in FUNCTIONS and self.take("("):
-                args, close = self.listed(self.expr, ")")
+                args, close = self.nested(self.listed, self.expr, ")")
                 return AstNode("call", (span[0], close.span[1]), fn=text,
                                children=args)
             if self.take("["):

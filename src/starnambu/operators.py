@@ -289,12 +289,20 @@ class SectorStack:
         self.dim = len(self.states)
 
 
+def _sectors(n: int, total) -> SectorStack:
+    """``total`` as sectors of n oscillators: a SectorStack, or one total."""
+    stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
+    if stack.n != n:
+        raise DimensionError(f"sector stack has {stack.n} oscillators, not {n}")
+    return stack
+
+
 def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
     """N_ij = b_i a_j on a sector (or stack of sectors): maps a state m to
     hbar * m_j * (m - e_j + e_i).  Indices i, j are 1-based."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError("oscillator index out of range")
-    stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
+    stack = _sectors(n, total)
     rows: List[Dict[int, Poly]] = [{} for _ in range(stack.dim)]
     for col, state in enumerate(stack.states):
         mj = state[j - 1]
@@ -309,7 +317,7 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
 
 
 def total_number_matrix(n: int, total) -> ExactMatrix:
-    stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
+    stack = _sectors(n, total)
     acc = ExactMatrix.zeros(stack.dim)
     for i in range(1, n + 1):
         acc = acc + number_matrix(n, stack, i, i)
@@ -336,7 +344,7 @@ def oscillator_theorem_check(n: int, total, f: ExactMatrix,
     [f, N_p1, N_p1p2, ..., N_pn] = hbar**(n-1) {[f, Ntot], N_p1p2, ...}
                                  = hbar**(n-1) [{f, N_p1p2, ...}, Ntot].
     """
-    stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
+    stack = _sectors(n, total)
     if f.dim != stack.dim:
         raise DimensionError("probe matrix does not match the sector space")
     alg = matrix_algebra(stack.dim)

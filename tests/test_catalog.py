@@ -10,7 +10,7 @@ from starnambu.catalog import (CheckOutcome, IdentityCheck, RunContext,
                                run_entry, run_suite, select_entries)
 from starnambu.cli import main
 from starnambu.models import get_model, sphere_geometry
-from starnambu.operators import ExactMatrix
+from starnambu.operators import ExactMatrix, number_matrix
 
 
 @pytest.fixture
@@ -208,8 +208,79 @@ class TestNegativeControls:
         monkeypatch.setattr(cat, "get_model", flipped)
         row = run_suite(id_glob="S2-01").results[0]
         assert row.status == "fail"
-        assert row.detail.startswith("mismatch: hemisphere +: pb(Lx,Ly) = Lz")
-        assert row.detail.split(" | witness: ")[1] not in ("", "0")
+        label, witness = row.detail.split(" | witness: ")
+        assert label == "mismatch: hemisphere +: pb(Lx,Ly)"
+        assert witness not in ("", "0")
+
+    @pytest.mark.parametrize("entry_id, model, tamper, label", [
+        ("SN-01", "sphere:3", lambda c: {"P1": -c["P1"]}, "N=3: pb(P1,P2)"),
+        ("CH-01", "chiral-s3", lambda c: {"R1": c["Lch1"], "Lch1": c["R1"]},
+         "pb(R1,R2)"),
+    ], ids=["SN-01", "CH-01"])
+    def test_tampered_charge_fails_closure_entry(self, monkeypatch, entry_id,
+                                                 model, tamper, label):
+        from dataclasses import replace
+        import starnambu.catalog as cat
+
+        def tampered(name):
+            m = get_model(name)
+            if name != model:
+                return m
+            return replace(m, charges={**m.charges, **tamper(m.charges)})
+
+        monkeypatch.setattr(cat, "get_model", tampered)
+        row = run_suite(id_glob=entry_id).results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == f"mismatch: {label}"
+        assert witness not in ("", "0")
+
+    def test_scaled_number_matrix_fails_os01(self, monkeypatch):
+        import starnambu.catalog as cat
+
+        def scaled(n, total, i, j):
+            m = number_matrix(n, total, i, j)
+            return m.scale_fraction(2) if (n, i, j) == (2, 1, 1) else m
+
+        monkeypatch.setattr(cat, "number_matrix", scaled)
+        row = run_suite(id_glob="OS-01").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == "mismatch: u(2) on the total=1 sector: comm(N11,N12)"
+        assert witness not in ("", "0")
+
+    def test_os01_cost_pinned(self, monkeypatch):
+        # two products per commutator: 2 * (3 * 4**2 + 3 * 9**2) over the
+        # u(2) and u(3) pairs on three sectors each; the sector-label
+        # claim multiplies no matrices
+        products = []
+        original = ExactMatrix.__mul__
+
+        def counting(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+        assert run_suite(id_glob="OS-01", seed=0).results[0].status == "pass"
+        assert len(products) == 582
+
+    @pytest.mark.parametrize("entry_id, counts", [
+        ("S2-01", {"pb": 2 * 3 ** 2}),
+        ("S2-02", {"mb": 3 ** 2}),
+        ("SN-01", {"pb": 6 ** 2 + 10 ** 2}),
+        ("SN-05", {"mb": 2 ** 2 + 3 ** 2, "pb": 2 ** 2 + 3 ** 2}),
+        ("CH-01", {"pb": 6 ** 2, "comm": 3 ** 2}),
+        ("OS-01", {"comm": 3 * 4 ** 2 + 3 * 9 ** 2}),
+    ], ids=["S2-01", "S2-02", "SN-01", "SN-05", "CH-01", "OS-01"])
+    def test_closure_checks_every_ordered_pair(self, entry_id, counts):
+        # |basis|**2 claims per closure, labelled name(a,b)
+        import re
+        from collections import Counter
+        import starnambu.catalog as cat
+        claims = getattr(cat, "_" + entry_id.lower().replace("-", "_"))
+        pairs = (re.search(r"(\w+)\(\w+,\w+\)$", label)
+                 for label, _, _ in claims(RunContext()))
+        assert Counter(m.group(1) for m in pairs if m) == counts
 
 
 class TestCli:

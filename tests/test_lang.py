@@ -115,6 +115,17 @@ class TestParse:
         assert (err.value.message, err.value.span, err.value.expected) == (
             message, span, expected)
 
+    @pytest.mark.parametrize("opening, closing", [
+        ("-", ""), ("(", ")"), ("h0(", ")")], ids=["minus", "paren", "call"])
+    def test_nesting_limit_pinned(self, opening, closing):
+        # a stated limit, not whatever Python's stack leaves at the call site
+        parse(opening * 64 + "x1" + closing * 64)
+        text = opening * 65 + "x1" + closing * 65
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert (err.value.message, err.value.span, err.value.expected) == (
+            "expression nested too deeply", (0, len(text)), ())
+
     @pytest.mark.parametrize("text, pos", [
         ("\u0663*x1", 0),        # ARABIC-INDIC DIGIT THREE
         ("x[\u0662]", 2),        # ARABIC-INDIC DIGIT TWO

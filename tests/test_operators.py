@@ -150,6 +150,18 @@ class TestFock:
         want = ExactMatrix.identity(stack.dim).times_hbar(1).scale_fraction(3)
         assert total_number_matrix(2, stack) == want
 
+    def test_sector_stack_of_other_oscillator_count_refused(self):
+        two = SectorStack(2, [1])
+        with pytest.raises(DimensionError):
+            number_matrix(3, two, 1, 2)
+        with pytest.raises(DimensionError):
+            number_matrix(3, two, 3, 3)
+        with pytest.raises(DimensionError):
+            total_number_matrix(3, two)
+        with pytest.raises(DimensionError):
+            oscillator_theorem_check(3, SectorStack(2, [1, 2]),
+                                     ExactMatrix.identity(5), [1, 2, 3])
+
     def test_repeated_totals_refused(self):
         # a repeated sector would index its states twice, and the number
         # operators would map the first copy into the second
