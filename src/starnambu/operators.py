@@ -7,10 +7,10 @@ Verma-style su(2) ladders): the verified statements are algebra identities,
 invariant under similarity, so unitary normalization would only introduce
 square roots without adding content.
 
-A matrix keeps only its nonzero entries, one ``{column: Poly}`` dict per
-row.  The Fock-sector and su(2) ladder matrices are banded or
-block-diagonal, so every operation walks the nonzeros instead of all d**2
-cells (d**3 index triples for a product).
+A matrix keeps only its nonzero scalars, in one ``{column: scalar}`` dict
+per row i of the coefficient of hbar**k, keyed (k, i).  The Fock-sector and
+su(2) ladder matrices are banded or block-diagonal, so every operation walks
+the nonzeros instead of all d**2 cells (d**3 index triples for a product).
 """
 
 from __future__ import annotations
@@ -21,41 +21,53 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import AlgebraHandle, jordan, qnb
 from .errors import DimensionError, DomainError
-from .gauss import qis_zero, qnorm, qpow_i
+from .gauss import QONE, qadd, qis_zero, qmul, qnorm, qpow_i
 from .phase import _poly_str
-from .poly import MASK, PONE, Poly, padd, pconst, pmul, pneg, pscale, pshift_hbar
+from .poly import MASK, PONE, Poly, overflow
 
 
-def _hbar_entry(power: int = 1, num: int = 1, den: int = 1) -> Poly:
-    if num == 0:
-        return {}
-    return {power: qnorm(num, 0, den)}
-
-
-def _checked_row(entries) -> Dict[int, Poly]:
-    """The row {column: entry} of (column, entry) pairs given from outside,
-    with every coefficient normalized and zero ones and entries dropped.
-    DomainError unless every key is an hbar power 0..MASK, the one field of
-    the n = 0 ring; DivisionByZero for a zero denominator."""
-    row = {}
-    for j, e in entries:
+def _checked(cells) -> dict:
+    """The rows of (i, j, entry) cells given from outside, coefficients
+    normalized and zero ones dropped.  DomainError unless every key is an
+    hbar power 0..MASK; DivisionByZero for a zero denominator."""
+    rows = {}
+    for i, j, e in cells:
         if any(not 0 <= k <= MASK for k in e):
             raise DomainError(f"matrix entry key outside hbar**0..hbar**{MASK}")
-        e = {k: q for k, c in e.items() if not qis_zero(q := qnorm(*c))}
-        if e:
-            row[j] = e
-    return row
+        for k, c in e.items():
+            if not qis_zero(q := qnorm(*c)):
+                rows.setdefault((k, i), {})[j] = q
+    return rows
+
+
+def _add_into(rows: dict, key: Tuple[int, int], j: int, c: tuple) -> None:
+    """rows[key][j] += c for a nonzero c, dropping a coefficient or row
+    that cancels; DomainError when the hbar power key[0] passes MASK."""
+    row = rows.get(key)
+    if row is None:
+        if key[0] > MASK:
+            raise overflow("product")
+        rows[key] = {j: c}
+    elif (prev := row.get(j)) is None:
+        row[j] = c
+    elif qis_zero(s := qadd(prev, c)):
+        del row[j]
+        if not row:
+            del rows[key]
+    else:
+        row[j] = s
 
 
 class ExactMatrix:
     """Square matrix over the ring of hbar-polynomials with Gaussian
     rational coefficients.
 
-    Row i is one ``{column: Poly}`` dict that holds the nonzero entries of
-    the row only, so every operation walks the nonzeros: a product costs
-    one ``pmul`` per pair of nonzeros a[i][k], b[k][j].  Rows and entries
-    are shared between matrices and never mutated, so ``entry`` hands out
-    a copy.
+    ``_rows`` maps (k, i) to row i of the coefficient of hbar**k, a
+    ``{column: scalar}`` dict of its nonzero scalars; no row is empty.  A
+    product costs one scalar product per pair of nonzeros a[p, i][m],
+    b[q, m][j], added into row (p + q, i).  Rows are shared between
+    matrices and never mutated; ``entry``, ``repr`` and the constructors
+    speak ``Poly``.
     """
 
     __slots__ = ("dim", "_rows")
@@ -68,19 +80,20 @@ class ExactMatrix:
             if len(row) != dim:
                 raise DimensionError("matrix must be square")
         self.dim = dim
-        self._rows = tuple(_checked_row(enumerate(row)) for row in rows)
+        self._rows = _checked((i, j, e) for i, row in enumerate(rows)
+                              for j, e in enumerate(row))
 
     @classmethod
-    def _of(cls, dim: int, rows) -> "ExactMatrix":
-        """Wrap sparse rows without copying; rows hold no zero entry."""
+    def _of(cls, dim: int, rows: dict) -> "ExactMatrix":
+        """Wrap rows without copying; they hold no zero scalar or empty row."""
         m = cls.__new__(cls)
         m.dim = dim
-        m._rows = tuple(rows)
+        m._rows = rows
         return m
 
     @classmethod
     def zeros(cls, dim: int) -> "ExactMatrix":
-        return cls._of(dim, ({} for _ in range(dim)))
+        return cls._of(dim, {})
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
@@ -90,17 +103,16 @@ class ExactMatrix:
     def unit(cls, dim: int, i: int, j: int, entry: Optional[Poly] = None) -> "ExactMatrix":
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError("matrix index out of range")
-        row = _checked_row([(j, PONE if entry is None else entry)])
-        return cls._of(dim, (row if r == i else {} for r in range(dim)))
+        return cls._of(dim, _checked([(i, j, PONE if entry is None else entry)]))
 
     @classmethod
     def from_int_rows(cls, rows: Sequence[Sequence[int]]) -> "ExactMatrix":
-        return cls([[pconst((v, 0, 1)) for v in row] for row in rows])
+        return cls([[{0: (v, 0, 1)} for v in row] for row in rows])
 
     @classmethod
     def diagonal(cls, entries: Sequence[Poly]) -> "ExactMatrix":
-        return cls._of(len(entries), (_checked_row([(i, e)])
-                                      for i, e in enumerate(entries)))
+        return cls._of(len(entries), _checked((i, i, e)
+                                              for i, e in enumerate(entries)))
 
     def _check(self, other: "ExactMatrix"):
         if self.dim != other.dim:
@@ -108,57 +120,60 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix._of(self.dim, (_row_sum(r1, r2, False) for r1, r2
-                                          in zip(self._rows, other._rows)))
+        rows = {key: dict(row) for key, row in self._rows.items()}
+        for key, row in other._rows.items():
+            for j, c in row.items():
+                _add_into(rows, key, j, c)
+        return ExactMatrix._of(self.dim, rows)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check(other)
-        return ExactMatrix._of(self.dim, (_row_sum(r1, r2, True) for r1, r2
-                                          in zip(self._rows, other._rows)))
+        return self + -other
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.dim, ({j: pneg(e) for j, e in row.items()}
-                                          for row in self._rows))
+        return ExactMatrix._of(self.dim, {
+            key: {j: (-a, -b, d) for j, (a, b, d) in row.items()}
+            for key, row in self._rows.items()})
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        brows = other._rows
-        out = []
-        for row in self._rows:
-            acc: Dict[int, Poly] = {}
-            for k, a in row.items():
-                for j, b in brows[k].items():
-                    prod = pmul(a, b)
-                    prev = acc.get(j)
-                    acc[j] = prod if prev is None else padd(prev, prod)
-            out.append({j: e for j, e in acc.items() if e})
-        return ExactMatrix._of(self.dim, out)
+        by_row: Dict[int, list] = {}
+        for (q, m), row in other._rows.items():
+            by_row.setdefault(m, []).append((q, row))
+        rows = {}
+        for (p, i), row in self._rows.items():
+            for m, a in row.items():
+                for q, brow in by_row.get(m, ()):
+                    key = (p + q, i)
+                    for j, b in brow.items():
+                        _add_into(rows, key, j, qmul(a, b))
+        return ExactMatrix._of(self.dim, rows)
 
     def scale(self, c) -> "ExactMatrix":
         if qis_zero(c):
             return ExactMatrix.zeros(self.dim)
-        return ExactMatrix._of(self.dim, ({j: pscale(e, c) for j, e in row.items()}
-                                          for row in self._rows))
+        return ExactMatrix._of(self.dim, {
+            key: {j: qmul(v, c) for j, v in row.items()}
+            for key, row in self._rows.items()})
 
     def scale_fraction(self, value) -> "ExactMatrix":
         f = Fraction(value)
         return self.scale((f.numerator, 0, f.denominator))
 
     def times_hbar(self, k: int = 1) -> "ExactMatrix":
-        """Multiply by hbar**k; DomainError when k < 0 or an exponent
-        would pass MASK."""
+        """Multiply by hbar**k; DomainError for k < 0 or a power past MASK."""
         if k < 0:
             raise DomainError("negative powers of hbar")
-        return ExactMatrix._of(self.dim, ({j: pshift_hbar(e, 0, k)
-                                           for j, e in row.items()}
-                                          for row in self._rows))
+        if any(p + k > MASK for p, _ in self._rows):
+            raise overflow("hbar shift")
+        return ExactMatrix._of(self.dim, {(p + k, i): row for (p, i), row
+                                          in self._rows.items()})
 
     def times_ihbar(self, k: int = 1) -> "ExactMatrix":
         """Multiply by (i*hbar)**k, checked as ``times_hbar``."""
         return self.times_hbar(k).scale(qpow_i(k))
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not self._rows
 
     def __eq__(self, other):
         if isinstance(other, ExactMatrix):
@@ -168,36 +183,14 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Poly:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError("matrix index out of range")
-        return dict(self._rows[i].get(j, {}))
+        return {k: row[j] for (k, r), row in self._rows.items()
+                if r == i and j in row}
 
     def __repr__(self):
-        cells = [f"[{i},{j}]={_poly_str(row[j], 0)[0]}"
-                 for i, row in enumerate(self._rows) for j in sorted(row)]
-        body = ", ".join(cells) if cells else "0"
-        return f"ExactMatrix({self.dim}, {body})"
-
-
-def _row_sum(r1: Dict[int, Poly], r2: Dict[int, Poly],
-             negate: bool) -> Dict[int, Poly]:
-    """r1 + r2, or r1 - r2 when negate, dropping entries that cancel."""
-    if not r2:
-        return r1
-    if not r1 and not negate:
-        return r2
-    out = dict(r1)
-    for j, b in r2.items():
-        if negate:
-            b = pneg(b)
-        a = out.get(j)
-        if a is None:
-            out[j] = b
-            continue
-        s = padd(a, b)
-        if s:
-            out[j] = s
-        else:
-            del out[j]
-    return out
+        cells = sorted({(i, j) for (_, i), row in self._rows.items() for j in row})
+        body = ", ".join(f"[{i},{j}]={_poly_str(self.entry(i, j), 0)[0]}"
+                         for i, j in cells)
+        return f"ExactMatrix({self.dim}, {body or 0})"
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -219,20 +212,23 @@ def matrix_algebra(dim: int) -> AlgebraHandle:
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; (a x 1) commutes with (1 x b)."""
     db = b.dim
-    out = []
-    for row_a in a._rows:
-        for row_b in b._rows:
-            out.append({j * db + l: pmul(e1, e2)
-                        for j, e1 in row_a.items() for l, e2 in row_b.items()})
-    return ExactMatrix._of(a.dim * db, out)
+    rows = {}
+    for (p, i), row_a in a._rows.items():
+        for (q, r), row_b in b._rows.items():
+            key = (p + q, i * db + r)
+            for j, e1 in row_a.items():
+                for m, e2 in row_b.items():
+                    _add_into(rows, key, j * db + m, qmul(e1, e2))
+    return ExactMatrix._of(a.dim * db, rows)
 
 
 def direct_sum(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    out = []
+    rows, off = {}, 0
     for m in mats:
-        off = len(out)
-        out.extend({off + j: e for j, e in row.items()} for row in m._rows)
-    return ExactMatrix._of(len(out), out)
+        for (k, i), row in m._rows.items():
+            rows[k, off + i] = {off + j: c for j, c in row.items()}
+        off += m.dim
+    return ExactMatrix._of(off, rows)
 
 
 # -- oscillator sectors -------------------------------------------------
@@ -303,7 +299,7 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError("oscillator index out of range")
     stack = _sectors(n, total)
-    rows: List[Dict[int, Poly]] = [{} for _ in range(stack.dim)]
+    rows = {}
     for col, state in enumerate(stack.states):
         mj = state[j - 1]
         if mj == 0:
@@ -312,7 +308,7 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
         target[j - 1] -= 1
         target[i - 1] += 1
         row = stack.index[tuple(target)]
-        rows[row][col] = _hbar_entry(1, mj)
+        _add_into(rows, (1, row), col, (mj, 0, 1))
     return ExactMatrix._of(stack.dim, rows)
 
 
@@ -374,11 +370,9 @@ def su2_verma(two_j: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     if two_j < 0:
         raise DomainError("need a non-negative twice-spin")
     d = two_j + 1
-    lz = ExactMatrix.diagonal([_hbar_entry(1, two_j - 2 * k, 2)
-                               for k in range(d)])
-    lm = [{k - 1: _hbar_entry(1, 1)} if k >= 1 else {} for k in range(d)]
-    lp = [{k + 1: _hbar_entry(1, (k + 1) * (two_j - k))} if k + 1 < d else {}
-          for k in range(d)]
+    lz = ExactMatrix.diagonal([{1: (two_j - 2 * k, 0, 2)} for k in range(d)])
+    lm = {(1, k): {k - 1: QONE} for k in range(1, d)}
+    lp = {(1, k): {k + 1: ((k + 1) * (two_j - k), 0, 1)} for k in range(d - 1)}
     return ExactMatrix._of(d, lp), ExactMatrix._of(d, lm), lz
 
 

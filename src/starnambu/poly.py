@@ -4,8 +4,6 @@ A polynomial in the variables (x_1 .. x_n, hbar) is a dict mapping a packed
 exponent key to a scalar triple from :mod:`starnambu.gauss`.  Exponents are
 packed one 17-bit field per variable, x_1 in the lowest field and hbar in
 the highest, so that monomial multiplication is integer addition on keys.
-The same kernel with n = 0 serves as the hbar-polynomial ring used by the
-operator backend.
 
 An exponent is at most MASK = 65535; the 17th bit of a field is a guard.
 Two exponents in range sum to less than 2**17, so they never carry into
@@ -238,14 +236,6 @@ def pmonic(f: Poly, nfields: int) -> Tuple[Poly, tuple]:
     return {k: qdiv(c, lc) for k, c in f.items()}, lc
 
 
-def _fits(k: int, key: int, nfields: int) -> bool:
-    for i in range(nfields):
-        sh = BITS * i
-        if ((k >> sh) & MASK) < ((key >> sh) & MASK):
-            return False
-    return True
-
-
 def pdivmod_exact(f: Poly, g: Poly, nfields: int) -> Optional[Poly]:
     """Return f / g when g divides f exactly, else None.
 
@@ -266,6 +256,9 @@ def pdivmod_exact(f: Poly, g: Poly, nfields: int) -> Optional[Poly]:
     gkey = max(g)
     gc = g[gkey]
     gpairs = [(k, c) for k, c in g.items() if k != gkey]
+    # a remainder key carries no guard bit, so with every guard set the
+    # subtraction borrows no field's guard bit exactly when gkey divides it
+    guard = GUARD & ((1 << (BITS * nfields)) - 1)
     rem = dict(f)
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -276,7 +269,7 @@ def pdivmod_exact(f: Poly, g: Poly, nfields: int) -> Optional[Poly]:
             if rkey in rem:
                 break
             heapq.heappop(heap)
-        if not _fits(rkey, gkey, nfields):
+        if ((rkey | guard) - gkey) & guard != guard:
             return None
         qkey = rkey - gkey
         qc = qdiv(rem[rkey], gc)

@@ -264,6 +264,27 @@ class TestNegativeControls:
         assert run_suite(id_glob="OS-01", seed=0).results[0].status == "pass"
         assert len(products) == 582
 
+    def test_os_entries_make_no_polynomial_products(self, monkeypatch):
+        # matrix cells hold one scalar per hbar power, so the oscillator
+        # entries never multiply polynomials; pmul is rebound in every
+        # starnambu module that holds it by name, as the benchmark does
+        import sys
+        import starnambu.poly as poly
+        calls = []
+        original = poly.pmul
+
+        def counting(f, g):
+            calls.append(1)
+            return original(f, g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("starnambu") \
+                    and getattr(module, "pmul", None) is original:
+                monkeypatch.setattr(module, "pmul", counting)
+        rows = run_suite(id_glob="OS-*", seed=0).results
+        assert [r.status for r in rows] == ["pass"] * 4
+        assert len(calls) == 0
+
     @pytest.mark.parametrize("entry_id, counts", [
         ("S2-01", {"pb": 2 * 3 ** 2}),
         ("S2-02", {"mb": 3 ** 2}),

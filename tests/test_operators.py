@@ -75,6 +75,27 @@ class TestMatrixRing:
             top.times_hbar(1)
         assert ExactMatrix.zeros(2).times_hbar(65535).is_zero()
 
+    def test_products_past_16_bits_raise(self):
+        eye = ExactMatrix.identity(2)
+        top = eye.times_hbar(65535)
+        with pytest.raises(DomainError):
+            top * eye.times_hbar(1)
+        with pytest.raises(DomainError):
+            tensor(top, eye.times_hbar(1))
+        assert top * eye == top
+        assert tensor(top, eye) == ExactMatrix.identity(4).times_hbar(65535)
+        # a zero matrix holds no power of hbar, however far it is shifted
+        zero = ExactMatrix.zeros(2).times_hbar(65535).times_hbar(1)
+        assert (top * zero).is_zero() and (zero * top).is_zero()
+        assert tensor(top, zero).is_zero()
+
+    def test_mixed_power_repr_pinned(self):
+        m = ExactMatrix([[{0: (1, 0, 2), 2: (0, 1, 1)}, {}],
+                         [{1: (-3, 0, 1)}, {0: (2, 1, 3)}]])
+        assert repr(m) == ("ExactMatrix(2, [0,0]=i*hbar*hbar + (1/2), "
+                           "[1,0]=-3*hbar, [1,1]=(2/3 + 1/3*i))")
+        assert m.entry(0, 0) == {0: (1, 0, 2), 2: (0, 1, 1)}
+
     def test_entry_keys_outside_the_hbar_field_raise(self):
         # a key in the next field, {1 << 17: 1}, printed as 1 yet compared
         # unequal to 1, and the key 65539 printed as hbar*hbar*hbar
@@ -127,23 +148,6 @@ class TestFock:
         assert n11 == ExactMatrix.diagonal([{1: (1, 0, 1)}, {}])
         with pytest.raises(DomainError):
             number_matrix(2, 1, 0, 1)
-
-    def test_un_closure(self):
-        for n, total in ((2, 2), (3, 2)):
-            stack = SectorStack(n, [total])
-            mats = {(i, j): number_matrix(n, stack, i, j)
-                    for i in range(1, n + 1) for j in range(1, n + 1)}
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            lhs = commutator(mats[(i, j)], mats[(k, l)])
-                            rhs = ExactMatrix.zeros(stack.dim)
-                            if j == k:
-                                rhs = rhs + mats[(i, l)].times_hbar(1)
-                            if i == l:
-                                rhs = rhs - mats[(k, j)].times_hbar(1)
-                            assert lhs == rhs
 
     def test_sector_label(self):
         stack = SectorStack(2, [3])

@@ -215,6 +215,25 @@ else:
         want, passes = naive_product(f, g)
         check_against_oracle(lambda: pmul(packed(f), packed(g)), want, passes)
 
+    # exponents at both ends of the field, and anywhere in it
+    DIVISION_EXPONENTS = st.one_of(st.sampled_from((0, 1, 2, MASK - 1, MASK)),
+                                   st.integers(0, MASK))
+
+    def monomial_pairs(nfields):
+        exps = st.tuples(*[DIVISION_EXPONENTS] * nfields)
+        return st.tuples(exps, exps)
+
+    @SETTINGS
+    @given(pair=st.integers(1, 5).flatmap(monomial_pairs))
+    def test_monomial_division_properties(pair):
+        # one monomial divides another exactly when no field is smaller
+        top, bottom = pair
+        got = pdivmod_exact({pack(top): QONE}, {pack(bottom): QONE}, len(top))
+        if all(u >= v for u, v in zip(top, bottom)):
+            assert got == {pack(tuple(u - v for u, v in zip(top, bottom))): QONE}
+        else:
+            assert got is None
+
     @SETTINGS
     @given(f=sparse_polys(), k=EXPONENTS)
     def test_pshift_hbar_overflow_properties(f, k):
