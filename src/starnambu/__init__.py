@@ -2,8 +2,7 @@
 
 from .errors import (ArityError, DimensionError, DivisionByZero, DomainError,
                      EvaluationPole, ExprSyntaxError, InexactDivision,
-                     NotInvertible, StarNambuError, StructureConstantError,
-                     UnknownName, UsageError)
+                     NotInvertible, StarNambuError, UnknownName, UsageError)
 from .gauss import GaussRational
 from .phase import EvalPoint, PhaseExpr, normalize_terms, random_circle_point
 from .brackets import (AlgebraHandle, BracketResult, SubsetCache, jordan,
@@ -14,7 +13,7 @@ from .brackets import (AlgebraHandle, BracketResult, SubsetCache, jordan,
 __all__ = [
     "ArityError", "DimensionError", "DivisionByZero", "DomainError",
     "EvaluationPole", "ExprSyntaxError", "InexactDivision", "NotInvertible",
-    "StarNambuError", "StructureConstantError", "UnknownName", "UsageError",
+    "StarNambuError", "UnknownName", "UsageError",
     "GaussRational", "EvalPoint", "PhaseExpr", "normalize_terms",
     "random_circle_point", "AlgebraHandle", "BracketResult", "SubsetCache",
     "jordan", "moyal", "nambu_jacobian", "phase_algebra", "poisson", "qnb",

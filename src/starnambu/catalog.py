@@ -25,8 +25,9 @@ from .brackets import (SubsetCache, jordan, moyal, nambu_jacobian,
                        phase_algebra, poisson, qnb, resolve_qnb4, star,
                        star_commutator as comm, symplectic_trace)
 from .errors import StarNambuError, UsageError
-from .models import (Model, chiral_dreibein, christoffel_correction,
-                     current_algebra_omega, eps_sum, fab, frame_current,
+from .gauss import QZERO, qadd, qis_zero, qmul
+from .models import (Model, chiral_dreibein, christoffel_contraction,
+                     current_algebra_omega, eps3, eps_sum, fab, frame_current,
                      get_model, half_charges, h_other, similarity_identities,
                      sphere_geometry, vielbein_current)
 from .operators import (ExactMatrix, SectorStack, chiral_block_rep,
@@ -36,7 +37,6 @@ from .operators import (ExactMatrix, SectorStack, chiral_block_rep,
                         random_sector_matrix, su2_cartesian, su2_casimir,
                         total_number_matrix)
 from .phase import EvalPoint, PhaseExpr, print_canonical
-from .poly import padd, pmul, pscale
 
 Claim = Tuple[str, object, object]
 Claims = Iterator[Claim]
@@ -156,15 +156,18 @@ def _eps_rule(triples, image, zero):
     return want
 
 
-def _so3_claims(lx: PhaseExpr, ly: PhaseExpr, lz: PhaseExpr,
-                prefix: str = "") -> Claims:
-    basis = {"Lx": lx, "Ly": ly, "Lz": lz}
+def _so3(m: Model) -> Dict[str, PhaseExpr]:
+    """The rotation charges Lx, Ly, Lz of a 2-sphere model, labelled."""
+    return {name: m.charge(name) for name in ("Lx", "Ly", "Lz")}
+
+
+def _so3_claims(basis: Dict[str, PhaseExpr], prefix: str = "") -> Claims:
     yield from _pair_claims("pb", poisson, basis, _eps_rule(
-        [tuple(basis)], basis.__getitem__, PhaseExpr.zero(lx.n)), prefix)
+        [tuple(basis)], basis.__getitem__, PhaseExpr.zero(basis["Lx"].n)), prefix)
 
 
 def check_so3_closure(lx: PhaseExpr, ly: PhaseExpr, lz: PhaseExpr) -> CheckOutcome:
-    return _verdict(_so3_claims(lx, ly, lz))
+    return _verdict(_so3_claims({"Lx": lx, "Ly": ly, "Lz": lz}))
 
 
 def _correction_claims(model: Model, expected: PhaseExpr,
@@ -223,15 +226,13 @@ def _sphere_correction(n: int) -> PhaseExpr:
 def _s2_01(ctx: RunContext) -> Claims:
     for sign in ("+", "-"):
         m = get_model(f"sphere:2:{sign}")
-        yield from _so3_claims(m.charge("Lx"), m.charge("Ly"), m.charge("Lz"),
-                               f"hemisphere {sign}: ")
+        yield from _so3_claims(_so3(m), f"hemisphere {sign}: ")
 
 
 @_entry("S2-02", "s2", "Moyal brackets collapse to Poisson brackets on charges",
         '§2, "MBs collapse to PBs"')
 def _s2_02(ctx: RunContext) -> Claims:
-    m = get_model("sphere:2")
-    basis = {name: m.charge(name) for name in ("Lx", "Ly", "Lz")}
+    basis = _so3(get_model("sphere:2"))
     yield from _pair_claims("mb", moyal, basis,
                             lambda a, b: poisson(basis[a], basis[b]))
 
@@ -247,10 +248,11 @@ def _s2_03(ctx: RunContext) -> Claims:
             "charges conserved by Hqm; mb(Lx,H) nonzero at order hbar**2"))
 def _s2_04(ctx: RunContext) -> Claims:
     m = get_model("sphere:2")
-    for name in ("Lx", "Ly", "Lz"):
-        yield (f"mb({name},Hqm) vanishes", moyal(m.charge(name), m.h_quantum),
+    so3 = _so3(m)
+    for name, charge in so3.items():
+        yield (f"mb({name},Hqm) vanishes", moyal(charge, m.h_quantum),
                PhaseExpr.zero(2))
-    lx_h = moyal(m.charge("Lx"), m.h_classical)
+    lx_h = moyal(so3["Lx"], m.h_classical)
     yield "mb(Lx,H) does not vanish", lx_h.is_zero(), False
     yield "mb(Lx,H) is of order hbar**2", lx_h.divisible_hbar(2), True
 
@@ -258,8 +260,7 @@ def _s2_04(ctx: RunContext) -> Claims:
 @_entry("S2-05", "s2", "ladder relation Lz*L+ - L+*Lz = hbar L+",
         '§2, "standard recursive ladder operations"')
 def _s2_05(ctx: RunContext) -> Claims:
-    m = get_model("sphere:2")
-    lx, ly, lz = m.charge("Lx"), m.charge("Ly"), m.charge("Lz")
+    lx, ly, lz = _so3(get_model("sphere:2")).values()
     lplus = lx + ly.times_i()
     yield "Lz*L+ - L+*Lz = hbar L+", comm(lz, lplus), lplus.times_hbar(1)
 
@@ -267,8 +268,7 @@ def _s2_05(ctx: RunContext) -> Claims:
 @_entry("S2-06", "s2", "Casimir rewrite L.*L = L+*L- + Lz*Lz - hbar Lz",
         '§2, "proportional to the ħ²l(l+1) spectrum"')
 def _s2_06(ctx: RunContext) -> Claims:
-    m = get_model("sphere:2")
-    lx, ly, lz = m.charge("Lx"), m.charge("Ly"), m.charge("Lz")
+    lx, ly, lz = _so3(get_model("sphere:2")).values()
     lplus = lx + ly.times_i()
     lminus = lx - ly.times_i()
     casimir = star(lx, lx) + star(ly, ly) + star(lz, lz)
@@ -493,9 +493,25 @@ def _ch_05(ctx: RunContext) -> Claims:
         '§4, "The quantum correction is now found"', detail=(
             "correction equals (hbar^2/8)(Gamma g Gamma - f.f); c_adjoint = 2"))
 def _ch_06(ctx: RunContext) -> Claims:
-    report = christoffel_correction(get_model("chiral-s3"))
-    yield "curvature form of the correction", report.correction, report.predicted
-    yield "c_adjoint", report.structure.c_adjoint, 2
+    m = get_model("chiral-s3")
+    n = 3
+    f = {(a, b, c): -eps3(a, b, c)
+         for a in range(n) for b in range(n) for c in range(n)}
+    basis = {f"V{j + 1}": vielbein_current(m, j) for j in range(n)}
+    currents = list(basis.values())
+    # {V_j, V_k} = -2 f_jkc V_c
+    closure = {(a, b): sum((currents[c].scale_fraction(-2 * f[j, k, c])
+                            for c in range(n) if f[j, k, c]), PhaseExpr.zero(n))
+               for j, a in enumerate(basis) for k, b in enumerate(basis)}
+    yield from _pair_claims("pb", poisson, basis, lambda a, b: closure[a, b])
+    yield ("c_adjoint: f_abc f_bcd = 2 delta_ad",
+           [[sum(f[a, b, c] * f[b, c, d] for b in range(n) for c in range(n))
+             for d in range(n)] for a in range(n)],
+           [[2 if a == d else 0 for d in range(n)] for a in range(n)])
+    ff = sum(v * v for v in f.values())
+    yield ("curvature form of the correction", m.h_quantum - m.h_classical,
+           (christoffel_contraction(m) - PhaseExpr.const(n, ff))
+           .times_hbar(2).scale_fraction(Fraction(1, 8)))
 
 
 @_entry("NB-01", "nb", "sphere evolution equals the invariant Jacobian",
@@ -504,12 +520,11 @@ def _nb_01(ctx: RunContext) -> Claims:
     rng = ctx.rng("NB-01")
     for sign in ("+", "-"):
         m = get_model(f"sphere:2:{sign}")
+        charges = list(_so3(m).values())
         for _ in range(ctx.repeats(3)):
             k = random_phase(2, rng)
             yield (f"hemisphere {sign}: dk/dt via jacobian",
-                   nambu_jacobian([k, m.charge("Lx"), m.charge("Ly"),
-                                   m.charge("Lz")]),
-                   poisson(k, m.h_classical))
+                   nambu_jacobian([k] + charges), poisson(k, m.h_classical))
 
 
 @_entry("NB-02", "nb", "bracket of H with its invariants vanishes",
@@ -518,8 +533,7 @@ def _nb_01(ctx: RunContext) -> Claims:
 def _nb_02(ctx: RunContext) -> Claims:
     m = get_model("sphere:2")
     yield ("bracket of H with its own invariants vanishes",
-           nambu_jacobian([m.h_classical, m.charge("Lx"), m.charge("Ly"),
-                           m.charge("Lz")]),
+           nambu_jacobian([m.h_classical] + list(_so3(m).values())),
            PhaseExpr.zero(2))
 
 
@@ -638,7 +652,7 @@ def _qn_02(ctx: RunContext) -> Claims:
     rng = ctx.rng("QN-02")
     m = get_model("sphere:2")
     alg = phase_algebra(2)
-    lx, ly, lz = m.charge("Lx"), m.charge("Ly"), m.charge("Lz")
+    lx, ly, lz = _so3(m).values()
     casimir = star(lx, lx) + star(ly, ly) + star(lz, lz)
     for _ in range(ctx.repeats(3)):
         a = random_phase(2, rng)
@@ -652,7 +666,7 @@ def _qn_03(ctx: RunContext) -> Claims:
     rng = ctx.rng("QN-03")
     m = get_model("sphere:2")
     alg = phase_algebra(2)
-    charges = [m.charge("Lx"), m.charge("Ly"), m.charge("Lz")]
+    charges = list(_so3(m).values())
     for _ in range(ctx.repeats(2)):
         a = random_phase(2, rng, pdeg=1)
         b = random_phase(2, rng, pdeg=1)
@@ -668,7 +682,7 @@ def _qn_04(ctx: RunContext) -> Claims:
     rng = ctx.rng("QN-04")
     m = get_model("sphere:2")
     alg = phase_algebra(2)
-    charges = [m.charge("Lx"), m.charge("Ly"), m.charge("Lz")]
+    charges = list(_so3(m).values())
     for _ in range(ctx.repeats(3)):
         f = random_phase(2, rng)
         yield ("WF evolution from the 4-bracket",
@@ -684,7 +698,7 @@ def _qn_04(ctx: RunContext) -> Claims:
 def _qn_05(ctx: RunContext) -> Claims:
     m = get_model("sphere:2")
     alg = phase_algebra(2)
-    charges = [m.charge("Lx"), m.charge("Ly"), m.charge("Lz")]
+    charges = list(_so3(m).values())
     x = PhaseExpr.coord(2, 0)
     px = PhaseExpr.momentum(2, 0)
     # -(1/(2 hbar^2)) [v, Lx, Ly, Lz] equals 1/(2 (i hbar)^2) [v, ...]
@@ -796,10 +810,14 @@ def _qn_09(ctx: RunContext) -> Claims:
 
 
 def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
-    lam1, lam2 = lz.entry(row, row), lz.entry(col, col)
-    rho1, rho2 = rz.entry(row, row), rz.entry(col, col)
-    return padd(padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
-                padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
+    """hbar**2 (2 l1 r1 + l1 r2 + r1 l2 + 2 l2 r2) on the unit (row, col),
+    from the hbar coefficients l, r of the diagonals of lz and rz."""
+    l1, l2, r1, r2 = (m.entry(i, i).get(1, QZERO) for m in (lz, rz)
+                      for i in (row, col))
+    two = (2, 0, 1)
+    c = qadd(qadd(qmul(two, qmul(l1, r1)), qmul(l1, r2)),
+             qadd(qmul(r1, l2), qmul(two, qmul(l2, r2))))
+    return {} if qis_zero(c) else {2: c}
 
 
 @_entry("QN-10", "qnb", "sigma_12 spectrum on tensor representations",

@@ -33,10 +33,6 @@ class NotInvertible(StarNambuError, ArithmeticError):
     """Inverse does not exist inside the coefficient field representation."""
 
 
-class StructureConstantError(StarNambuError, ValueError):
-    """A Lie-algebra closure read-off was inconsistent."""
-
-
 class UnknownName(StarNambuError, KeyError):
     """An identifier could not be resolved against the active binding."""
 

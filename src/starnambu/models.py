@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .brackets import poisson, star
-from .errors import DomainError, StructureConstantError
-from .phase import EvalPoint, PhaseExpr
+from .brackets import star
+from .errors import DomainError
+from .phase import PhaseExpr
 
 _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
          (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -70,17 +70,6 @@ class Model:
             return self.charges[name]
         except KeyError:
             raise DomainError(f"model {self.name} has no charge {name}")
-
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Totally antisymmetric constants with f_abc f_bcd = c_adjoint delta_ad."""
-
-    f: Dict[Tuple[int, int, int], Fraction]
-    c_adjoint: Fraction
-
-    def value(self, a: int, b: int, c: int) -> Fraction:
-        return self.f.get((a, b, c), Fraction(0))
 
 
 def _coords(n: int):
@@ -339,77 +328,10 @@ def similarity_identities(model: Model):
     return out
 
 
-@dataclass(frozen=True)
-class ChristoffelReport:
-    gamma_contraction: PhaseExpr
-    structure: StructureConstants
-    correction: PhaseExpr
-    predicted: PhaseExpr
-    holds: bool
-
-
-def read_structure_constants(model: Model) -> StructureConstants:
-    """Solve {V^{aj} p_a, V^{bk} p_b} = -2 f^{jkn} V^{an} p_a for constant f.
-
-    The constants come from evaluating both sides at the chart origin where
-    V^{an} = delta^{an}; the closure is then re-verified exactly on the
-    whole chart.
-    """
-    n = model.n
-    currents = [vielbein_current(model, j) for j in range(n)]
-    origin = EvalPoint((Fraction(0),) * n, (Fraction(0),) * n, Fraction(1))
-    f: Dict[Tuple[int, int, int], Fraction] = {}
-    zero_h = Fraction(0)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            pb = poisson(currents[j], currents[k])
-            coeffs = []
-            for a in range(n):
-                pt = EvalPoint(origin.xvals,
-                               tuple(Fraction(1 if c == a else 0) for c in range(n)),
-                               Fraction(1))
-                val = pb.evaluate(pt, zero_h)
-                if val.im != 0:
-                    raise StructureConstantError("complex closure coefficient")
-                coeffs.append(val.re)
-            residual = pb
-            for a in range(n):
-                if coeffs[a]:
-                    residual = residual - currents[a].scale_fraction(coeffs[a])
-            if not residual.is_zero():
-                raise StructureConstantError(
-                    f"current bracket ({j + 1},{k + 1}) is not a constant "
-                    "combination of currents")
-            for a in range(n):
-                if coeffs[a]:
-                    f[(j, k, a)] = -coeffs[a] / 2
-    # total antisymmetry and the adjoint contraction
-    for (a, b, c), val in f.items():
-        if f.get((b, a, c), Fraction(0)) != -val or f.get((a, c, b), Fraction(0)) != -val:
-            raise StructureConstantError("structure constants not antisymmetric")
-    c_adj = None
-    for a in range(n):
-        for d in range(n):
-            tot = Fraction(0)
-            for b in range(n):
-                for c in range(n):
-                    tot += f.get((a, b, c), Fraction(0)) * f.get((b, c, d), Fraction(0))
-            if a != d:
-                if tot != 0:
-                    raise StructureConstantError("f f contraction not diagonal")
-            elif c_adj is None:
-                c_adj = tot
-            elif tot != c_adj:
-                raise StructureConstantError("f f contraction not scalar")
-    return StructureConstants(f, c_adj if c_adj is not None else Fraction(0))
-
-
-def christoffel_correction(model: Model) -> ChristoffelReport:
-    """Quantum correction as curvature data: (hbar^2/8)(Gamma g Gamma - f.f)."""
-    if model.kind != "chiral":
-        raise DomainError("the curvature form is stated for the chiral model")
+def christoffel_contraction(model: Model) -> PhaseExpr:
+    """Gamma^b_ac g^cd Gamma^a_bd for the Levi-Civita symbols of the metric."""
+    if model.geometry.metric is None:
+        raise DomainError(f"model {model.name} carries no metric")
     n = model.n
     g = model.geometry.metric
     ginv = model.geometry.metric_inv
@@ -430,13 +352,7 @@ def christoffel_correction(model: Model) -> ChristoffelReport:
             for c in range(n):
                 for d in range(n):
                     contraction = contraction + gamma[b][a][c] * ginv[c][d] * gamma[a][b][d]
-    structure = read_structure_constants(model)
-    ff = sum((v * v for v in structure.f.values()), Fraction(0))
-    predicted = (contraction - PhaseExpr.const(n, ff)) \
-        .times_hbar(2).scale_fraction(Fraction(1, 8))
-    correction = model.h_quantum - model.h_classical
-    return ChristoffelReport(contraction, structure, correction, predicted,
-                             correction.equals(predicted))
+    return contraction
 
 
 def fab(model: Model, a: int, b: int, variant: str = "cartesian") -> PhaseExpr:

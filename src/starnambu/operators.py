@@ -354,9 +354,9 @@ def oscillator_theorem_check(n: int, total, f: ExactMatrix,
     return lhs == m1 and lhs == m2
 
 
-def random_sector_matrix(stack: SectorStack, rng, lo: int = -3, hi: int = 3) -> ExactMatrix:
+def random_sector_matrix(stack: SectorStack, rng) -> ExactMatrix:
     return ExactMatrix.from_int_rows(
-        [[rng.randint(lo, hi) for _ in range(stack.dim)]
+        [[rng.randint(-3, 3) for _ in range(stack.dim)]
          for _ in range(stack.dim)])
 
 

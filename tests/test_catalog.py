@@ -9,7 +9,7 @@ from starnambu.catalog import (CheckOutcome, IdentityCheck, RunContext,
                                check_so3_closure, check_quantum_correction,
                                run_entry, run_suite, select_entries)
 from starnambu.cli import main
-from starnambu.models import get_model, sphere_geometry
+from starnambu.models import get_model, sphere_geometry, vielbein_current
 from starnambu.operators import ExactMatrix, number_matrix
 
 
@@ -235,6 +235,20 @@ class TestNegativeControls:
         assert got == f"mismatch: {label}"
         assert witness not in ("", "0")
 
+    def test_doubled_current_fails_ch06(self, monkeypatch):
+        import starnambu.catalog as cat
+
+        def doubled(model, j):
+            cur = vielbein_current(model, j)
+            return cur.scale_fraction(2) if j == 0 else cur
+
+        monkeypatch.setattr(cat, "vielbein_current", doubled)
+        row = run_suite(id_glob="CH-06").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == "mismatch: pb(V1,V2)"
+        assert witness not in ("", "0")
+
     def test_scaled_number_matrix_fails_os01(self, monkeypatch):
         import starnambu.catalog as cat
 
@@ -265,8 +279,8 @@ class TestNegativeControls:
         assert len(products) == 582
 
     def test_os_entries_make_no_polynomial_products(self, monkeypatch):
-        # matrix cells hold one scalar per hbar power, so the oscillator
-        # entries never multiply polynomials; pmul is rebound in every
+        # matrix cells hold one scalar per hbar power, so the oscillator and
+        # sigma_12 entries never multiply polynomials; pmul is rebound in every
         # starnambu module that holds it by name, as the benchmark does
         import sys
         import starnambu.poly as poly
@@ -281,8 +295,9 @@ class TestNegativeControls:
             if name.startswith("starnambu") \
                     and getattr(module, "pmul", None) is original:
                 monkeypatch.setattr(module, "pmul", counting)
-        rows = run_suite(id_glob="OS-*", seed=0).results
-        assert [r.status for r in rows] == ["pass"] * 4
+        rows = [r for glob in ("OS-*", "QN-1[01]")
+                for r in run_suite(id_glob=glob, seed=0).results]
+        assert [r.status for r in rows] == ["pass"] * 6
         assert len(calls) == 0
 
     @pytest.mark.parametrize("entry_id, counts", [
@@ -291,8 +306,9 @@ class TestNegativeControls:
         ("SN-01", {"pb": 6 ** 2 + 10 ** 2}),
         ("SN-05", {"mb": 2 ** 2 + 3 ** 2, "pb": 2 ** 2 + 3 ** 2}),
         ("CH-01", {"pb": 6 ** 2, "comm": 3 ** 2}),
+        ("CH-06", {"pb": 3 ** 2}),
         ("OS-01", {"comm": 3 * 4 ** 2 + 3 * 9 ** 2}),
-    ], ids=["S2-01", "S2-02", "SN-01", "SN-05", "CH-01", "OS-01"])
+    ], ids=["S2-01", "S2-02", "SN-01", "SN-05", "CH-01", "CH-06", "OS-01"])
     def test_closure_checks_every_ordered_pair(self, entry_id, counts):
         # |basis|**2 claims per closure, labelled name(a,b)
         import re

@@ -7,7 +7,7 @@ from starnambu import (DomainError, EvalPoint, PhaseExpr, moyal,
                        nambu_jacobian, poisson, star)
 from starnambu.models import (build_chiral_s3, build_gnomonic_s3, build_sphere,
                               canonical_model_names, chiral_dreibein,
-                              christoffel_correction,
+                              christoffel_contraction,
                               current_algebra_omega, fab, get_model,
                               half_charges, h_other, similarity_identities,
                               sphere_geometry, vielbein_current)
@@ -211,26 +211,27 @@ class TestChiral:
         assert comm.equals(rh[0].times_ihbar(1))
 
     def test_christoffel_report(self):
-        report = christoffel_correction(get_model("chiral-s3"))
-        assert report.holds
-        assert report.structure.c_adjoint == 2
+        m = get_model("chiral-s3")
+        contraction = christoffel_contraction(m)
         one = PhaseExpr.one(3)
         x = [PhaseExpr.coord(3, i) for i in range(3)]
         r = one - sum((xi * xi for xi in x), PhaseExpr.zero(3))
         # Gamma g Gamma contracts to q^2/(1-q^2) for this metric
-        assert report.gamma_contraction.equals(one / r - one)
-        # structure constants read off as -eps and vanish at the chart origin
-        assert report.structure.value(0, 1, 2) == Fraction(-1)
+        assert contraction.equals(one / r - one)
+        # with f.f = 6 for f = -eps it gives the quantum correction
+        assert (m.h_quantum - m.h_classical).equals(
+            (contraction - PhaseExpr.const(3, 6))
+            .times_hbar(2).scale_fraction(Fraction(1, 8)))
         with pytest.raises(DomainError):
-            christoffel_correction(get_model("sphere:2"))
+            christoffel_contraction(get_model("gnomonic-s3"))
 
     def test_christoffel_vanishes_at_origin(self):
         # Levi-Civita symbols vanish at the flat point of the chart:
         # Gamma^d_ab = x_d g_ab for this metric, so the contraction with
         # one metric factor evaluates to q^2-dependent data only
-        report = christoffel_correction(get_model("chiral-s3"))
+        contraction = christoffel_contraction(get_model("chiral-s3"))
         origin = EvalPoint((Fraction(0),) * 3, (Fraction(0),) * 3, Fraction(1))
-        assert report.gamma_contraction.evaluate(origin, Fraction(0)).is_zero()
+        assert contraction.evaluate(origin, Fraction(0)).is_zero()
 
     def test_fab_variants(self):
         m = get_model("chiral-s3")

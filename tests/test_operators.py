@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from starnambu import jordan, qnb
+from starnambu import qnb
 from starnambu.errors import DimensionError, DivisionByZero, DomainError
 from starnambu.operators import (ExactMatrix, FockBasis, SectorStack,
-                                 chiral_block_rep, chiral_tensor_rep,
-                                 commutator, direct_sum, matrix_algebra,
-                                 naive_bracket, number_matrix,
+                                 chiral_block_rep, commutator, direct_sum,
+                                 matrix_algebra, naive_bracket, number_matrix,
                                  oscillator_bracket_entries,
                                  oscillator_theorem_check,
                                  random_sector_matrix, su2_cartesian,
                                  su2_casimir, su2_verma, tensor,
                                  total_number_matrix)
-from starnambu.poly import padd, pmul, pscale
 
 
 def rand_matrix(rng, d):
@@ -257,22 +255,6 @@ class TestSu2:
         assert commutator(left[0], right[1]).is_zero()
         stacked = direct_sum([ExactMatrix.identity(2), ExactMatrix.identity(3)])
         assert stacked == ExactMatrix.identity(5)
-
-    def test_sigma12_on_units(self):
-        left, right = chiral_tensor_rep(1)
-        d = 4
-        alg = matrix_algebra(d)
-        lz, rz = left[2], right[2]
-        for row in range(d):
-            for col in range(d):
-                f = ExactMatrix.unit(d, row, col)
-                lam1, lam2 = lz.entry(row, row), lz.entry(col, col)
-                rho1, rho2 = rz.entry(row, row), rz.entry(col, col)
-                sigma = padd(
-                    padd(pscale(pmul(lam1, rho1), (2, 0, 1)), pmul(lam1, rho2)),
-                    padd(pmul(rho1, lam2), pscale(pmul(lam2, rho2), (2, 0, 1))))
-                assert jordan([f, lz, rz], alg).value == \
-                    ExactMatrix.unit(d, row, col, sigma)
 
     def test_naive_bracket_oracle(self):
         rng = random.Random(58)
