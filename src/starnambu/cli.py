@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from .catalog import run_suite
+from .catalog import SUITES, run_suite
 from .errors import (ArityError, DomainError, DivisionByZero, EvaluationPole,
                      ExprSyntaxError, InexactDivision, NotInvertible,
                      UnknownName, UsageError)
@@ -32,8 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run identity checks")
     check.add_argument("--suite", default=None,
-                       help="suite name (s2, sn, chiral, nb, qnb, oscillator, "
-                            "star) or 'all'")
+                       help=f"suite name ({', '.join(SUITES)}) or 'all'")
     check.add_argument("--id", dest="id_glob", default=None,
                        help="glob over entry ids, e.g. 'QN-*'")
     check.add_argument("--n", type=int, default=1,
@@ -54,35 +54,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Tuple[str, int]:
     report = run_suite(suite=args.suite, id_glob=args.id_glob, seed=args.seed,
                        draws=args.n)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
-    return 0 if report.all_pass else 1
+    text = report.to_json() if args.format == "json" else report.to_text()
+    return text, 0 if report.all_pass else 1
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> Tuple[str, int]:
     model = get_model(args.model)
     binding = Binding(model=model)
-    result = evaluate(args.expr, binding)
-    text = print_canonical(result)
+    text = print_canonical(evaluate(args.expr, binding))
     if args.format == "json":
-        print(json.dumps({"model": model.name, "expr": args.expr,
-                          "result": text}, sort_keys=True))
-    else:
-        print(text)
-    return 0
+        text = json.dumps({"model": model.name, "expr": args.expr,
+                           "result": text}, sort_keys=True)
+    return text, 0
 
 
-def _cmd_models(args) -> int:
+def _cmd_models(args) -> Tuple[str, int]:
+    lines = []
     for name in canonical_model_names():
         model = get_model(name)
         charges = ", ".join(sorted(model.charges))
-        print(f"{name}  (dimension {model.n}; charges: {charges})")
-    return 0
+        lines.append(f"{name}  (dimension {model.n}; charges: {charges})")
+    return "\n".join(lines), 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -92,13 +87,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "models":
-            return _cmd_models(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        command = {"check": _cmd_check, "eval": _cmd_eval,
+                   "models": _cmd_models}[args.command]
+        text, code = command(args)
     except ExprSyntaxError as exc:
         lo, hi = exc.span
         print(f"syntax error at {lo}..{hi}: {exc.message}", file=sys.stderr)
@@ -112,6 +103,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early: send what is left, and the flush at
+        # interpreter exit, to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def run() -> None:

@@ -62,7 +62,6 @@ class Model:
     h_classical: PhaseExpr
     h_quantum: PhaseExpr
     geometry: Optional[Geometry]
-    radical_enabled: bool
     kind: str
 
     def charge(self, name: str) -> PhaseExpr:
@@ -165,7 +164,7 @@ def build_sphere(n: int, sign: str = "+") -> Model:
             base = charges[f"L{lo + 1}{hi + 1}"]
             charges[f"I{i + 1}"] = base if (j, k) == (lo, hi) else -base
     return Model(f"sphere:{n}:{sign}", n, sign, charges, tuple(conserved),
-                 h, hqm, sphere_geometry(n, "-"), True, "sphere")
+                 h, hqm, sphere_geometry(n, "-"), "sphere")
 
 
 def chiral_dreibein(sign: str) -> Tuple[Tuple[PhaseExpr, ...], ...]:
@@ -220,7 +219,7 @@ def build_chiral_s3() -> Model:
                       + [f"I{i}" for i in (1, 2, 3)]
                       + [f"A{i}" for i in (1, 2, 3)] + ["IL", "IR"])
     return Model("chiral-s3", n, "+", charges, conserved, h, hqm, geometry,
-                 True, "chiral")
+                 "chiral")
 
 
 def half_charges(model: Model):
@@ -257,7 +256,7 @@ def build_gnomonic_s3() -> Model:
                              for b in range(3)) for a in range(3))
     geometry = Geometry("+", vielbein, None, None, metric_inv, None)
     return Model("gnomonic-s3", n, "+", charges,
-                 ("J1", "J2", "J3"), h, hqm, geometry, False, "gnomonic")
+                 ("J1", "J2", "J3"), h, hqm, geometry, "gnomonic")
 
 
 def h_other(model: Model) -> PhaseExpr:

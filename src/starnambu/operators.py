@@ -234,25 +234,9 @@ def direct_sum(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 # -- oscillator sectors -------------------------------------------------
 
 
-class FockBasis:
-    """States of n oscillators with fixed total occupation M, ordered by
-    descending lexicographic multi-index."""
-
-    def __init__(self, n: int, total: int):
-        if n < 1 or total < 0:
-            raise DomainError("need n >= 1 oscillators and total >= 0")
-        self.n = n
-        self.total = total
-        self.states: List[Tuple[int, ...]] = sorted(
-            _compositions(total, n), reverse=True)
-        self.index: Dict[Tuple[int, ...], int] = {
-            st: i for i, st in enumerate(self.states)}
-
-    def __len__(self):
-        return len(self.states)
-
-
 def _compositions(total: int, n: int) -> List[Tuple[int, ...]]:
+    """The states of n oscillators with total occupation ``total``, in
+    descending lexicographic order."""
     if n == 1:
         return [(total,)]
     out = []
@@ -263,7 +247,8 @@ def _compositions(total: int, n: int) -> List[Tuple[int, ...]]:
 
 
 class SectorStack:
-    """Concatenated Fock sectors sharing one matrix space.
+    """Fock sectors of n oscillators sharing one matrix space: the states
+    of each total, in descending lexicographic order, sector after sector.
 
     All number operators act block-diagonally; probes f may mix sectors,
     which is what makes the bracket identities non-degenerate.
@@ -272,33 +257,22 @@ class SectorStack:
     def __init__(self, n: int, totals: Sequence[int]):
         self.n = n
         self.totals = tuple(totals)
+        if n < 1 or any(m < 0 for m in self.totals):
+            raise DomainError("need n >= 1 oscillators and totals >= 0")
         if len(set(self.totals)) != len(self.totals):
             raise DomainError("sector totals must differ")
-        self.bases = [FockBasis(n, m) for m in self.totals]
-        self.states: List[Tuple[int, ...]] = []
-        for basis in self.bases:
-            self.states.extend(basis.states)
-        self.index = {}
-        for i, st in enumerate(self.states):
-            # states are unique across sectors, whose totals differ
-            self.index[st] = i
+        self.states: List[Tuple[int, ...]] = [
+            st for m in self.totals for st in _compositions(m, n)]
+        # states are unique across sectors, whose totals differ
+        self.index = {st: i for i, st in enumerate(self.states)}
         self.dim = len(self.states)
 
 
-def _sectors(n: int, total) -> SectorStack:
-    """``total`` as sectors of n oscillators: a SectorStack, or one total."""
-    stack = total if isinstance(total, SectorStack) else SectorStack(n, [total])
-    if stack.n != n:
-        raise DimensionError(f"sector stack has {stack.n} oscillators, not {n}")
-    return stack
-
-
-def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
-    """N_ij = b_i a_j on a sector (or stack of sectors): maps a state m to
+def number_matrix(stack: SectorStack, i: int, j: int) -> ExactMatrix:
+    """N_ij = b_i a_j on a stack of sectors: maps a state m to
     hbar * m_j * (m - e_j + e_i).  Indices i, j are 1-based."""
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not (1 <= i <= stack.n and 1 <= j <= stack.n):
         raise DomainError("oscillator index out of range")
-    stack = _sectors(n, total)
     rows = {}
     for col, state in enumerate(stack.states):
         mj = state[j - 1]
@@ -312,27 +286,26 @@ def number_matrix(n: int, total, i: int, j: int) -> ExactMatrix:
     return ExactMatrix._of(stack.dim, rows)
 
 
-def total_number_matrix(n: int, total) -> ExactMatrix:
-    stack = _sectors(n, total)
+def total_number_matrix(stack: SectorStack) -> ExactMatrix:
     acc = ExactMatrix.zeros(stack.dim)
-    for i in range(1, n + 1):
-        acc = acc + number_matrix(n, stack, i, i)
+    for i in range(1, stack.n + 1):
+        acc = acc + number_matrix(stack, i, i)
     return acc
 
 
-def oscillator_bracket_entries(n: int, stack: SectorStack,
+def oscillator_bracket_entries(stack: SectorStack,
                                path: Sequence[int]) -> List[ExactMatrix]:
     """The 2n-1 invariants N_p1, N_p1p2, N_p2, ..., N_p(n-1)pn, N_pn."""
-    if sorted(path) != list(range(1, n + 1)):
+    if sorted(path) != list(range(1, stack.n + 1)):
         raise DomainError("path must be a permutation of 1..n")
-    out = [number_matrix(n, stack, path[0], path[0])]
-    for a in range(n - 1):
-        out.append(number_matrix(n, stack, path[a], path[a + 1]))
-        out.append(number_matrix(n, stack, path[a + 1], path[a + 1]))
+    out = [number_matrix(stack, path[0], path[0])]
+    for a in range(stack.n - 1):
+        out.append(number_matrix(stack, path[a], path[a + 1]))
+        out.append(number_matrix(stack, path[a + 1], path[a + 1]))
     return out
 
 
-def oscillator_theorem_check(n: int, total, f: ExactMatrix,
+def oscillator_theorem_check(stack: SectorStack, f: ExactMatrix,
                              path: Sequence[int]) -> bool:
     """Check the 2n-bracket reduction onto a commutator with the total
     number operator times a symmetrized product of the off-diagonal charges:
@@ -340,15 +313,14 @@ def oscillator_theorem_check(n: int, total, f: ExactMatrix,
     [f, N_p1, N_p1p2, ..., N_pn] = hbar**(n-1) {[f, Ntot], N_p1p2, ...}
                                  = hbar**(n-1) [{f, N_p1p2, ...}, Ntot].
     """
-    stack = _sectors(n, total)
     if f.dim != stack.dim:
         raise DimensionError("probe matrix does not match the sector space")
     alg = matrix_algebra(stack.dim)
-    entries = oscillator_bracket_entries(n, stack, path)
+    entries = oscillator_bracket_entries(stack, path)
     lhs = qnb([f] + entries, alg).value
-    ntot = total_number_matrix(n, stack)
-    off_diag = [number_matrix(n, stack, path[a], path[a + 1])
-                for a in range(n - 1)]
+    ntot = total_number_matrix(stack)
+    off_diag = entries[1::2]
+    n = stack.n
     m1 = jordan([commutator(f, ntot)] + off_diag, alg).value.times_hbar(n - 1)
     m2 = commutator(jordan([f] + off_diag, alg).value, ntot).times_hbar(n - 1)
     return lhs == m1 and lhs == m2

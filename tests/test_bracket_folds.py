@@ -149,7 +149,7 @@ def test_fold_leaves_no_cyclic_garbage():
     rng = random.Random(5)
     stack = SectorStack(2, [1, 2])
     probe = random_sector_matrix(stack, rng)
-    osc = [probe] + oscillator_bracket_entries(2, stack, [1, 2])
+    osc = [probe] + oscillator_bracket_entries(stack, [1, 2])
     mats = [ExactMatrix.from_int_rows([[rng.randint(-3, 3) for _ in range(3)]
                                        for _ in range(3)]) for _ in range(3)]
     x, y = PhaseExpr.coord(N, 0), PhaseExpr.coord(N, 1)

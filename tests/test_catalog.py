@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import starnambu
 from starnambu import DomainError, PhaseExpr, UsageError
-from starnambu.catalog import (CheckOutcome, IdentityCheck, RunContext,
-                               _verdict, catalog, check_metric_identities,
-                               check_so3_closure, check_quantum_correction,
-                               run_entry, run_suite, select_entries)
+from starnambu.catalog import (SUITES, CheckOutcome, IdentityCheck,
+                               RunContext, _verdict, catalog,
+                               check_metric_identities, check_so3_closure,
+                               check_quantum_correction, run_entry, run_suite,
+                               select_entries)
 from starnambu.cli import main
 from starnambu.models import get_model, sphere_geometry, vielbein_current
 from starnambu.operators import ExactMatrix, number_matrix
@@ -52,6 +57,10 @@ class TestCatalogStructure:
         assert by_id["S2-03"].paper_ref.startswith("§2")
         assert "reductio ad dimidium" in by_id["OS-02"].paper_ref
         assert by_id["OS-02"].paper_ref.startswith("Appendix")
+
+    def test_suites_in_catalog_order(self):
+        assert SUITES == ("s2", "sn", "chiral", "nb", "qnb", "oscillator",
+                          "star")
 
     def test_entries_constructible_without_running(self):
         for entry in catalog():
@@ -252,9 +261,9 @@ class TestNegativeControls:
     def test_scaled_number_matrix_fails_os01(self, monkeypatch):
         import starnambu.catalog as cat
 
-        def scaled(n, total, i, j):
-            m = number_matrix(n, total, i, j)
-            return m.scale_fraction(2) if (n, i, j) == (2, 1, 1) else m
+        def scaled(stack, i, j):
+            m = number_matrix(stack, i, j)
+            return m.scale_fraction(2) if (stack.n, i, j) == (2, 1, 1) else m
 
         monkeypatch.setattr(cat, "number_matrix", scaled)
         row = run_suite(id_glob="OS-01").results[0]
@@ -389,6 +398,22 @@ class TestCli:
         assert main(["models"]) == 0
         out = capsys.readouterr().out
         assert "sphere:2" in out and "chiral-s3" in out and "gnomonic-s3" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--id", "CH-06"], ["models"],
+        ["eval", "--model", "sphere:2", "x1"]])
+    def test_closed_output_pipe_is_quiet(self, argv):
+        # a reader that stops early (`| head -1`) leaves the exit status
+        # the command's own and writes nothing on stderr
+        src = os.path.dirname(os.path.dirname(starnambu.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-m", "starnambu", *argv],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONPATH": path})
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (0, b"")
 
     def test_bad_usage(self, capsys):
         assert main(["check", "--suite", "nonsense"]) == 2

@@ -253,7 +253,6 @@ class TestChiral:
 class TestGnomonic:
     def test_radical_free(self):
         m = get_model("gnomonic-s3")
-        assert not m.radical_enabled
         assert all(c.is_polynomial for c in m.charges.values())
 
     def test_correction(self):

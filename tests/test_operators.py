@@ -5,7 +5,7 @@ import pytest
 
 from starnambu import qnb
 from starnambu.errors import DimensionError, DivisionByZero, DomainError
-from starnambu.operators import (ExactMatrix, FockBasis, SectorStack,
+from starnambu.operators import (ExactMatrix, SectorStack,
                                  chiral_block_rep, commutator, direct_sum,
                                  matrix_algebra, naive_bracket, number_matrix,
                                  oscillator_bracket_entries,
@@ -133,36 +133,40 @@ class TestMatrixRing:
 
 class TestFock:
     def test_basis_ordering(self):
-        fb = FockBasis(2, 1)
-        assert fb.states == [(1, 0), (0, 1)]
-        fb = FockBasis(3, 2)
-        assert fb.states[0] == (2, 0, 0)
-        assert len(fb) == 6
+        assert SectorStack(2, [1]).states == [(1, 0), (0, 1)]
+        stack = SectorStack(3, [2])
+        assert stack.states[0] == (2, 0, 0)
+        assert stack.dim == 6
+        # each sector in descending lexicographic order, in the given order
+        assert SectorStack(2, [1, 0]).states == [(1, 0), (0, 1), (0, 0)]
+
+    def test_bad_sectors_refused(self):
+        with pytest.raises(DomainError):
+            SectorStack(0, [1])
+        with pytest.raises(DomainError):
+            SectorStack(2, [-1])
 
     def test_number_matrix_action(self):
-        n12 = number_matrix(2, 1, 1, 2)
+        stack = SectorStack(2, [1])
+        n12 = number_matrix(stack, 1, 2)
         assert n12.entry(0, 1) == {1: (1, 0, 1)}
-        n11 = number_matrix(2, 1, 1, 1)
+        n11 = number_matrix(stack, 1, 1)
         assert n11 == ExactMatrix.diagonal([{1: (1, 0, 1)}, {}])
         with pytest.raises(DomainError):
-            number_matrix(2, 1, 0, 1)
+            number_matrix(stack, 0, 1)
+        with pytest.raises(DomainError):
+            number_matrix(stack, stack.n + 1, 1)
 
     def test_sector_label(self):
         stack = SectorStack(2, [3])
         want = ExactMatrix.identity(stack.dim).times_hbar(1).scale_fraction(3)
-        assert total_number_matrix(2, stack) == want
+        assert total_number_matrix(stack) == want
 
-    def test_sector_stack_of_other_oscillator_count_refused(self):
-        two = SectorStack(2, [1])
+    def test_probe_of_other_dimension_refused(self):
+        stack = SectorStack(2, [1, 2])
         with pytest.raises(DimensionError):
-            number_matrix(3, two, 1, 2)
-        with pytest.raises(DimensionError):
-            number_matrix(3, two, 3, 3)
-        with pytest.raises(DimensionError):
-            total_number_matrix(3, two)
-        with pytest.raises(DimensionError):
-            oscillator_theorem_check(3, SectorStack(2, [1, 2]),
-                                     ExactMatrix.identity(5), [1, 2, 3])
+            oscillator_theorem_check(stack, ExactMatrix.identity(stack.dim + 1),
+                                     [1, 2])
 
     def test_repeated_totals_refused(self):
         # a repeated sector would index its states twice, and the number
@@ -179,9 +183,9 @@ class TestFock:
         stack = SectorStack(2, [2])
         f = random_sector_matrix(stack, rng)
         alg = matrix_algebra(stack.dim)
-        lhs = qnb([f] + oscillator_bracket_entries(2, stack, [1, 2]), alg).value
+        lhs = qnb([f] + oscillator_bracket_entries(stack, [1, 2]), alg).value
         assert lhs.is_zero()
-        assert oscillator_theorem_check(2, stack, f, [1, 2])
+        assert oscillator_theorem_check(stack, f, [1, 2])
 
     def test_theorem_on_stacked_sectors(self):
         rng = random.Random(54)
@@ -190,9 +194,9 @@ class TestFock:
             path = list(range(1, n + 1))
             for _ in range(3):
                 f = random_sector_matrix(stack, rng)
-                assert oscillator_theorem_check(n, stack, f, path)
+                assert oscillator_theorem_check(stack, f, path)
         alg = matrix_algebra(stack.dim)
-        probe = qnb([f] + oscillator_bracket_entries(3, stack, [1, 2, 3]),
+        probe = qnb([f] + oscillator_bracket_entries(stack, [1, 2, 3]),
                     alg).value
         assert not probe.is_zero()
 
@@ -201,15 +205,15 @@ class TestFock:
         stack = SectorStack(3, [1, 2])
         for path in ([2, 3, 1], [3, 1, 2]):
             f = random_sector_matrix(stack, rng)
-            assert oscillator_theorem_check(3, stack, f, path)
+            assert oscillator_theorem_check(stack, f, path)
         with pytest.raises(DomainError):
-            oscillator_bracket_entries(3, stack, [1, 1, 2])
+            oscillator_bracket_entries(stack, [1, 1, 2])
 
     def test_leibniz_failure_witness(self):
         rng = random.Random(56)
         stack = SectorStack(2, [1, 2])
         alg = matrix_algebra(stack.dim)
-        entries = oscillator_bracket_entries(2, stack, [1, 2])
+        entries = oscillator_bracket_entries(stack, [1, 2])
         found = False
         for _ in range(12):
             f = random_sector_matrix(stack, rng)
