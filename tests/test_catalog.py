@@ -413,7 +413,7 @@ class TestCli:
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
-        assert (child.wait(), err) == (0, b"")
+        assert (child.wait(timeout=60), err) == (0, b"")
 
     def test_bad_usage(self, capsys):
         assert main(["check", "--suite", "nonsense"]) == 2
