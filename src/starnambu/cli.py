@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True,
                     help="model name, e.g. sphere:2 or chiral-s3")
     ev.add_argument("--format", choices=("text", "json"), default="text")
-    ev.add_argument("expr", help="expression, e.g. 'mb(Lx,Hqm)'")
+    ev.add_argument("expr", help="expression, e.g. 'mb(Lx,Hqm)' or '-x1'")
 
     sub.add_parser("models", help="list the bundled models")
     return parser
@@ -80,8 +80,25 @@ def _cmd_models(args) -> Tuple[str, int]:
     return "\n".join(lines), 0
 
 
+def _expression_last(argv: Sequence[str]) -> list:
+    """argv with an ``eval`` expression that starts with one "-", such as
+    "-x1" or "-hbar", moved behind "--": argparse would read it as an
+    unknown option, or as -h with an argument.  The printer writes such
+    text, so a printed result can be passed back."""
+    argv = list(argv)
+    if argv[:1] != ["eval"] or "--" in argv:
+        return argv
+    negated = [a for a in argv[1:]
+               if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h"]
+    if len(negated) != 1:
+        return argv
+    argv.remove(negated[0])
+    return argv + ["--", negated[0]]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    argv = _expression_last(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

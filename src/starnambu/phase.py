@@ -415,14 +415,15 @@ def _term(head: str, factors: str) -> str:
     return f"{head}*{factors}" if factors else head
 
 
-def _poly_str(poly: Poly, nvars: int) -> Tuple[str, bool]:
-    """(text, is_single_term) of a polynomial in x1..x_nvars and hbar."""
+def poly_str(poly: Poly, nvars: int) -> Tuple[str, bool]:
+    """(text, is_single_term) of a polynomial in x1..x_nvars and hbar; with
+    nvars = 0 it prints an ``ExactMatrix`` cell."""
     names = tuple(f"x{a}" for a in range(1, nvars + 1)) + ("hbar",)
     return _render(poly, names, _scalar_text)
 
 
 def _poly_factor(poly: Poly, nvars: int) -> str:
-    text, single = _poly_str(poly, nvars)
+    text, single = poly_str(poly, nvars)
     return text if single else f"({text})"
 
 
@@ -434,7 +435,7 @@ def _coeff_text(c: RadicalCoeff, n: int) -> str:
         parts.append(_term(_poly_factor(b, n), "s"))
     body = parts[0] if len(parts) == 1 else f"({_join(parts)})"
     if (denom := rdenom(c, n)) != PONE:
-        body = f"{body}/({_poly_str(denom, n)[0]})"
+        body = f"{body}/({poly_str(denom, n)[0]})"
     return body
 
 

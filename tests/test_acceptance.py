@@ -147,7 +147,8 @@ def test_criterion_6_oscillator_theorem(full_report):
             for path in paths[n]:
                 for _ in range(5):
                     f = random_sector_matrix(stack, rng)
-                    ok = ok and oscillator_theorem_check(stack, f, path)
+                    lhs, m1, m2 = oscillator_theorem_check(stack, f, path)
+                    ok = ok and lhs == m1 and lhs == m2
     print(f"  OS-02 + OS-03 elapsed: "
           f"{rows['OS-02'].elapsed_ms + rows['OS-03'].elapsed_ms} ms")
     _report_line(ok, "6 (oscillator 2n-bracket theorem, exact hbar^(n-1), "

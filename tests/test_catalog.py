@@ -272,20 +272,46 @@ class TestNegativeControls:
         assert got == "mismatch: u(2) on the total=1 sector: comm(N11,N12)"
         assert witness not in ("", "0")
 
+    def test_scaled_total_number_fails_os02(self, monkeypatch):
+        # Ntot enters only the two halved forms, so every probe whose
+        # bracket is nonzero now differs from them; the witness is the
+        # matrix difference
+        import starnambu.operators as ops
+        original = ops.total_number_matrix
+        monkeypatch.setattr(ops, "total_number_matrix",
+                            lambda stack: original(stack).scale_fraction(2))
+        row = run_suite(id_glob="OS-02").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got.startswith("mismatch: theorem holds for n=2, M=1: ")
+        assert witness.startswith("ExactMatrix(")
+
+    @staticmethod
+    def _products(monkeypatch, entry_id):
+        """Matrix products made by one entry: each a*b that the product
+        kernel adds into an accumulator, two per (anti)commutator."""
+        import starnambu.operators as ops
+        products = []
+        original = ops._addmul
+
+        def counting(*args):
+            products.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ops, "_addmul", counting)
+        assert run_suite(id_glob=entry_id, seed=0).results[0].status == "pass"
+        return len(products)
+
     def test_os01_cost_pinned(self, monkeypatch):
         # two products per commutator: 2 * (3 * 4**2 + 3 * 9**2) over the
         # u(2) and u(3) pairs on three sectors each; the sector-label
         # claim multiplies no matrices
-        products = []
-        original = ExactMatrix.__mul__
+        assert self._products(monkeypatch, "OS-01") == 582
 
-        def counting(a, b):
-            products.append(1)
-            return original(a, b)
-
-        monkeypatch.setattr(ExactMatrix, "__mul__", counting)
-        assert run_suite(id_glob="OS-01", seed=0).results[0].status == "pass"
-        assert len(products) == 582
+    def test_os02_cost_pinned(self, monkeypatch):
+        # 30 theorem checks at seed 0; the non-vacuity claim reads their
+        # brackets, where it used to build six more (3204 products)
+        assert self._products(monkeypatch, "OS-02") == 2745
 
     def test_os_entries_make_no_polynomial_products(self, monkeypatch):
         # matrix cells hold one scalar per hbar power, so the oscillator and
@@ -370,6 +396,19 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["result"] == "0"
         assert data["model"] == "sphere:2:+"
+
+    @pytest.mark.parametrize("argv, printed", [
+        (["eval", "--model", "sphere:2", "-x1"], "-x1"),
+        (["eval", "--model", "sphere:2", "-1/2*x1"], "-1/2*x1"),
+        (["eval", "--model", "sphere:2", "-hbar*x1"], "-x1*hbar"),
+        (["eval", "-x1", "--model", "sphere:2"], "-x1"),
+        (["eval", "--model", "sphere:2", "--", "-x1"], "-x1"),
+    ])
+    def test_eval_expression_with_leading_minus(self, argv, printed, capsys):
+        # argparse reads "-x1" as an option and "-hbar" as -h; the printer
+        # writes such text, so eval must take it back
+        assert main(argv) == 0
+        assert capsys.readouterr() == (printed + "\n", "")
 
     def test_eval_syntax_error_exit_two(self, capsys):
         assert main(["eval", "--model", "sphere:2", "pb(Lx,"]) == 2

@@ -108,10 +108,10 @@ def test_eval_homomorphism():
 
 
 def test_printing_smoke():
-    from starnambu.phase import _poly_str
+    from starnambu.phase import poly_str
     from starnambu.operators import ExactMatrix
     p = padd(pmul(pvar(0), pvar(0)), pneg(phbar(1, 1)))
-    assert _poly_str(p, 1) == ("x1*x1 - hbar", False)
+    assert poly_str(p, 1) == ("x1*x1 - hbar", False)
     m = ExactMatrix.unit(2, 0, 1, phbar(0, 2))
     assert repr(m) == "ExactMatrix(2, [0,1]=hbar*hbar)"
     m = ExactMatrix([[{0: (1, 1, 2)}, {1: (-1, 0, 1), 2: (0, -3, 4)}],
