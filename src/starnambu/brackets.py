@@ -45,7 +45,9 @@ only the even half of the star series.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, permutations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -327,21 +329,54 @@ class BracketResult:
     stats: BracketStats = field(default_factory=BracketStats)
 
 
-class SubsetCache:
-    """Cross-call cache of sub-bracket values, keyed by entry identity.
+def _evict(cache_ref, ident: int, _ref) -> None:
+    """Weakref callback of the cached entry with id ident: drop every value
+    whose subset holds it.  It holds the cache weakly, so the cache and its
+    entries form no reference cycle."""
+    cache = cache_ref()
+    if cache is None:
+        return
+    del cache._refs[ident]
+    dead = []
+    for data in cache._data.values():
+        dead += [data.pop(key) for key in [key for key in data if ident in key]]
+    # freed only now: an evicted value may itself be an entry, whose
+    # callback then finds this eviction done
+    dead.clear()
 
-    Each value is stored with its subset, which keeps the ids valid.
+
+class SubsetCache:
+    """Cross-call cache of sub-bracket values, keyed by whether the product
+    is signed (``qnb``) or not (``jordan``) and by the identity of each entry
+    of the subset, so one cache serves both folds.
+
+    The cache holds its entries weakly and keeps none alive: a cached
+    sub-bracket lives as long as every entry of its subset, and when one
+    entry dies its weakref callback evicts every value whose subset holds
+    it.  The callback runs before the entry's memory is freed, so an id
+    cannot be reused while a key still holds it.  Entries must support weak
+    references.  An eviction scans the keys, which stay few in the folds'
+    use: the subsets of the live entries of one or two brackets.
     """
 
+    __slots__ = ("_data", "_refs", "__weakref__")
+
     def __init__(self):
-        self._data: Dict[tuple, tuple] = {}
+        self._data: Dict[bool, Dict[tuple, Any]] = {True: {}, False: {}}
+        self._refs: Dict[int, weakref.ref] = {}
 
-    def get(self, subset: tuple):
-        got = self._data.get(tuple(map(id, subset)))
-        return None if got is None else got[1]
+    def get(self, subset: tuple, signed: bool = True):
+        """The cached value of subset, or None."""
+        return self._data[signed].get(tuple(map(id, subset)))
 
-    def put(self, subset: tuple, value):
-        self._data[tuple(map(id, subset))] = (subset, value)
+    def put(self, subset: tuple, value, signed: bool = True) -> None:
+        refs = self._refs
+        for entry in subset:  # weakref.ref raises before the value is stored
+            ident = id(entry)
+            if ident not in refs:
+                refs[ident] = weakref.ref(
+                    entry, partial(_evict, weakref.ref(self), ident))
+        self._data[signed][tuple(map(id, subset))] = value
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -397,12 +432,14 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
              for picked in combinations(range(k), size)]
     if k % 2:
         masks.append(full)
+    if k == 1:
+        cache = None  # the product is the entry: caching it keeps it alive
     table: Dict[int, Any] = {}
     for mask in masks:
         bits = [1 << j for j in range(k) if mask >> j & 1]
         subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
         if cache is not None:
-            got = cache.get(subset)
+            got = cache.get(subset, signed)
             if got is not None:
                 table[mask] = got
                 continue
@@ -435,7 +472,7 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                 val = prod if val is None else val + prod
         table[mask] = val
         if cache is not None:
-            cache.put(subset, val)
+            cache.put(subset, val, signed)
     return table[full]
 
 
@@ -458,14 +495,24 @@ def qnb(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
     The default path is the commutator-pair resolution of ``_pair_fold``,
     memoized over argument subsets; it agrees exactly with the naive
     k!-term sum, which stays available as the cross-check oracle.
+
+    A ``SubsetCache`` shares sub-brackets across calls, and across ``qnb``
+    and ``jordan``.  It keeps no entry alive: a cached sub-bracket lives as
+    long as every entry of its subset, so the entries must support weak
+    references.
     """
     return _product(entries, alg, True, naive, cache, "bracket")
 
 
-def jordan(entries: Sequence[Any], alg: AlgebraHandle,
-           naive: bool = False) -> BracketResult:
-    """Fully symmetrized product over all permutations (no signs)."""
-    return _product(entries, alg, False, naive, None, "jordan product")
+def jordan(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
+           cache: Optional[SubsetCache] = None) -> BracketResult:
+    """Fully symmetrized product over all permutations (no signs).
+
+    ``cache`` is as for ``qnb``, whose signed sub-brackets one cache keeps
+    apart from these: a cached value lives as long as every entry of its
+    subset, and the entries must support weak references.
+    """
+    return _product(entries, alg, False, naive, cache, "jordan product")
 
 
 def resolve_qnb4(a, b, c, d, alg: AlgebraHandle):

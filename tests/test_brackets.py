@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -626,3 +628,123 @@ class TestBracketProducts:
         rhs = dk_dl * nambu_jacobian([big_l] + rest) \
             + dk_dm * nambu_jacobian([big_m] + rest)
         assert lhs.equals(rhs)
+
+
+def int_matrix(rng, dim=3):
+    return ExactMatrix.from_int_rows(
+        [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+
+
+def cached(cache):
+    """How many values the cache holds, signed and unsigned."""
+    return sum(len(values) for values in cache._data.values())
+
+
+class TestSubsetCacheLifetime:
+    """A cached sub-bracket lives as long as every entry of its subset: the
+    cache holds its entries weakly and evicts on their death."""
+
+    def test_dropping_a_probe_evicts_its_values(self):
+        rng = random.Random(40)
+        alg = matrix_algebra(3)
+        tail = [int_matrix(rng) for _ in range(3)]
+        cache = SubsetCache()
+        probe = int_matrix(rng)
+        qnb([probe] + tail, alg, cache=cache)
+        pair = weakref.ref(cache.get((probe, tail[0])))
+        assert cache.get(tail[:2]) is not None
+        del probe
+        assert pair() is None
+        assert cached(cache) == 3  # the tail's three pairs
+        assert cache.get(tail[:2]) is not None
+
+    def test_value_that_is_an_entry_dies_with_its_subset(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        rng = random.Random(45)
+        alg = matrix_algebra(3)
+        a, b = int_matrix(rng), int_matrix(rng)
+        cache = SubsetCache()
+        qnb([a, b], alg, cache=cache)
+        v = cache.get((a, b))
+        qnb([v, a, b], alg, cache=cache)
+        del v, a  # evicting [a, b] frees v, whose own keys go next
+        assert unraisable == []
+        assert cached(cache) == 0
+
+    def test_probe_loop_keeps_one_probe_of_values(self):
+        # k = 6: the tail's 10 pairs and 5 four-subsets, and a probe's 5
+        # pairs, 10 four-subsets and the whole set
+        rng = random.Random(41)
+        alg = matrix_algebra(3)
+        tail = [int_matrix(rng) for _ in range(5)]
+        cache = SubsetCache()
+        for _ in range(20):
+            probe = int_matrix(rng)
+            qnb([probe] + tail, alg, cache=cache)
+            assert cached(cache) == 15 + 16
+        del probe
+        assert cached(cache) == 15
+
+    def test_reused_id_misses(self):
+        # the parent's strong references never let an entry's id be reused
+        # while it is cached; here CPython hands the freed slot out again
+        rng = random.Random(42)
+        alg = matrix_algebra(3)
+        tail = [int_matrix(rng) for _ in range(3)]
+        cache = SubsetCache()
+        probe = int_matrix(rng)
+        qnb([probe] + tail, alg, cache=cache)
+        old = id(probe)
+        del probe
+        kept = []  # so that no two tries land on the same freed slot
+        for _ in range(10_000):
+            new = int_matrix(rng)
+            if id(new) == old:
+                break
+            kept.append(new)
+        else:
+            pytest.fail("the freed id was never reused")
+        got = qnb([new] + tail, alg, cache=cache).value
+        assert got == qnb([new] + tail, alg).value
+
+    def test_dropped_cache_leaves_no_garbage(self, monkeypatch):
+        rng = random.Random(43)
+        alg = matrix_algebra(3)
+        entries = [int_matrix(rng) for _ in range(4)]
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        gc.collect()
+        gc.disable()
+        try:
+            cache = SubsetCache()
+            qnb(entries, alg, cache=cache)
+            jordan(entries, alg, cache=cache)
+            ref = weakref.ref(cache)
+            del cache
+            assert ref() is None
+            assert gc.collect() == 0
+            del entries
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert unraisable == []
+
+    def test_signed_and_unsigned_folds_share_a_cache(self):
+        rng = random.Random(44)
+        mats = [int_matrix(rng) for _ in range(4)]
+        funcs = [rand_expr(2, rng, pdeg=1, terms=2) for _ in range(3)]
+        cases = [(mats, matrix_algebra(3), lambda a, b: a == b),
+                 (funcs, phase_algebra(2), lambda a, b: a.equals(b))]
+        for args, alg, same in cases:
+            for order in ((qnb, jordan), (jordan, qnb)):
+                cache = SubsetCache()
+                for fold in order:
+                    assert same(fold(args, alg, cache=cache).value,
+                                fold(args, alg).value), fold.__name__
+
+    def test_entries_without_weak_references_are_refused(self):
+        cache = SubsetCache()
+        with pytest.raises(TypeError, match="int"):
+            cache.put((1, 2), 3)
+        assert cache.get((1, 2)) is None
