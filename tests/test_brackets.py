@@ -687,8 +687,8 @@ class TestSubsetCacheLifetime:
         assert cached(cache) == 15
 
     def test_reused_id_misses(self):
-        # the parent's strong references never let an entry's id be reused
-        # while it is cached; here CPython hands the freed slot out again
+        # a cache that held its entries strongly would never free a cached
+        # entry's id; here CPython hands the freed slot out again
         rng = random.Random(42)
         alg = matrix_algebra(3)
         tail = [int_matrix(rng) for _ in range(3)]
