@@ -337,18 +337,16 @@ def _evict(cache_ref, ident: int, _ref) -> None:
     if cache is None:
         return
     del cache._refs[ident]
-    dead = []
-    for data in cache._data.values():
-        dead += [data.pop(key) for key in [key for key in data if ident in key]]
+    data = cache._data
+    dead = [data.pop(key) for key in [key for key in data if ident in key]]
     # freed only now: an evicted value may itself be an entry, whose
     # callback then finds this eviction done
     dead.clear()
 
 
 class SubsetCache:
-    """Cross-call cache of sub-bracket values, keyed by whether the product
-    is signed (``qnb``) or not (``jordan``) and by the identity of each entry
-    of the subset, so one cache serves both folds.
+    """Cross-call cache of ``qnb`` sub-bracket values, keyed by the identity
+    of each entry of the subset.
 
     The cache holds its entries weakly and keeps none alive: a cached
     sub-bracket lives as long as every entry of its subset, and when one
@@ -362,21 +360,21 @@ class SubsetCache:
     __slots__ = ("_data", "_refs", "__weakref__")
 
     def __init__(self):
-        self._data: Dict[bool, Dict[tuple, Any]] = {True: {}, False: {}}
+        self._data: Dict[tuple, Any] = {}
         self._refs: Dict[int, weakref.ref] = {}
 
-    def get(self, subset: tuple, signed: bool = True):
+    def get(self, subset: tuple):
         """The cached value of subset, or None."""
-        return self._data[signed].get(tuple(map(id, subset)))
+        return self._data.get(tuple(map(id, subset)))
 
-    def put(self, subset: tuple, value, signed: bool = True) -> None:
+    def put(self, subset: tuple, value) -> None:
         refs = self._refs
         for entry in subset:  # weakref.ref raises before the value is stored
             ident = id(entry)
             if ident not in refs:
                 refs[ident] = weakref.ref(
                     entry, partial(_evict, weakref.ref(self), ident))
-        self._data[signed][tuple(map(id, subset))] = value
+        self._data[tuple(map(id, subset))] = value
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -439,7 +437,7 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
         bits = [1 << j for j in range(k) if mask >> j & 1]
         subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
         if cache is not None:
-            got = cache.get(subset, signed)
+            got = cache.get(subset)
             if got is not None:
                 table[mask] = got
                 continue
@@ -472,7 +470,7 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                 val = prod if val is None else val + prod
         table[mask] = val
         if cache is not None:
-            cache.put(subset, val, signed)
+            cache.put(subset, val)
     return table[full]
 
 
@@ -496,23 +494,17 @@ def qnb(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
     memoized over argument subsets; it agrees exactly with the naive
     k!-term sum, which stays available as the cross-check oracle.
 
-    A ``SubsetCache`` shares sub-brackets across calls, and across ``qnb``
-    and ``jordan``.  It keeps no entry alive: a cached sub-bracket lives as
-    long as every entry of its subset, so the entries must support weak
-    references.
+    A ``SubsetCache`` shares sub-brackets across calls.  It keeps no entry
+    alive: a cached sub-bracket lives as long as every entry of its subset,
+    so the entries must support weak references.
     """
     return _product(entries, alg, True, naive, cache, "bracket")
 
 
-def jordan(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
-           cache: Optional[SubsetCache] = None) -> BracketResult:
-    """Fully symmetrized product over all permutations (no signs).
-
-    ``cache`` is as for ``qnb``, whose signed sub-brackets one cache keeps
-    apart from these: a cached value lives as long as every entry of its
-    subset, and the entries must support weak references.
-    """
-    return _product(entries, alg, False, naive, cache, "jordan product")
+def jordan(entries: Sequence[Any], alg: AlgebraHandle,
+           naive: bool = False) -> BracketResult:
+    """Fully symmetrized product over all permutations (no signs)."""
+    return _product(entries, alg, False, naive, None, "jordan product")
 
 
 def resolve_qnb4(a, b, c, d, alg: AlgebraHandle):

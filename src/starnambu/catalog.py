@@ -824,7 +824,6 @@ def _sigma_of(lz: ExactMatrix, rz: ExactMatrix, row: int, col: int):
         "sigma_12 = 2 l1 r1 + l1 r2 + r1 l2 + 2 l2 r2 on every "
         "elementary unit, 2j <= 2")
 def _qn_10(ctx: RunContext) -> Claims:
-    cache = SubsetCache()  # {Lz, Rz} once per representation
     for two_j in (0, 1, 2):
         left, right = chiral_tensor_rep(two_j)
         d = (two_j + 1) ** 2
@@ -835,7 +834,7 @@ def _qn_10(ctx: RunContext) -> Claims:
                 f = ExactMatrix.unit(d, row, col)
                 sigma = _sigma_of(lz, rz, row, col)
                 yield (f"2j={two_j}: unit ({row},{col}) has the sigma_12 spectrum",
-                       jordan([f, lz, rz], alg, cache=cache).value,
+                       jordan([f, lz, rz], alg).value,
                        ExactMatrix.unit(d, row, col, sigma))
 
 
