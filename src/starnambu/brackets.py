@@ -45,9 +45,7 @@ only the even half of the star series.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, permutations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -329,52 +327,29 @@ class BracketResult:
     stats: BracketStats = field(default_factory=BracketStats)
 
 
-def _evict(cache_ref, ident: int, _ref) -> None:
-    """Weakref callback of the cached entry with id ident: drop every value
-    whose subset holds it.  It holds the cache weakly, so the cache and its
-    entries form no reference cycle."""
-    cache = cache_ref()
-    if cache is None:
-        return
-    del cache._refs[ident]
-    data = cache._data
-    dead = [data.pop(key) for key in [key for key in data if ident in key]]
-    # freed only now: an evicted value may itself be an entry, whose
-    # callback then finds this eviction done
-    dead.clear()
-
-
 class SubsetCache:
     """Cross-call cache of ``qnb`` sub-bracket values, keyed by the identity
     of each entry of the subset.
 
-    The cache holds its entries weakly and keeps none alive: a cached
-    sub-bracket lives as long as every entry of its subset, and when one
-    entry dies its weakref callback evicts every value whose subset holds
-    it.  The callback runs before the entry's memory is freed, so an id
-    cannot be reused while a key still holds it.  Entries must support weak
-    references.  An eviction scans the keys, which stay few in the folds'
-    use: the subsets of the live entries of one or two brackets.
+    ``qnb`` shares through it the sub-brackets of the entries after the
+    first, so calls that vary only their first entry reuse their common
+    tail.  The cache holds every subset it keys together with its value for
+    its own lifetime, so an id cannot be reused while a key holds it, and
+    any entry type is accepted.
     """
 
-    __slots__ = ("_data", "_refs", "__weakref__")
+    __slots__ = ("_data",)
 
     def __init__(self):
-        self._data: Dict[tuple, Any] = {}
-        self._refs: Dict[int, weakref.ref] = {}
+        self._data: Dict[tuple, Tuple[tuple, Any]] = {}
 
     def get(self, subset: tuple):
         """The cached value of subset, or None."""
-        return self._data.get(tuple(map(id, subset)))
+        got = self._data.get(tuple(map(id, subset)))
+        return None if got is None else got[1]
 
     def put(self, subset: tuple, value) -> None:
-        refs = self._refs
-        for entry in subset:  # weakref.ref raises before the value is stored
-            ident = id(entry)
-            if ident not in refs:
-                refs[ident] = weakref.ref(
-                    entry, partial(_evict, weakref.ref(self), ident))
-        self._data[tuple(map(id, subset))] = value
+        self._data[tuple(map(id, subset))] = (subset, value)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -421,8 +396,12 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
     orders of a matching, which carry the same sign.
 
     The rules need every subset of even size, smallest first, and the whole
-    set when k is odd.  Each is taken from ``cache`` when it is there; for
-    k = 5 and k >= 7 such a hit does not spare the smaller subsets under it.
+    set when k is odd.  A subset of the entries after the first is taken
+    from ``cache`` when it is there and stored there when it is not; one
+    that holds the first entry never goes through the cache, so a caller
+    that varies the first entry over a fixed tail keeps only the tail's
+    sub-brackets.  For k = 5 and k >= 7 a hit does not spare the smaller
+    subsets under it.
     """
     k = len(entries)
     full = (1 << k) - 1
@@ -430,13 +409,12 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
              for picked in combinations(range(k), size)]
     if k % 2:
         masks.append(full)
-    if k == 1:
-        cache = None  # the product is the entry: caching it keeps it alive
     table: Dict[int, Any] = {}
     for mask in masks:
         bits = [1 << j for j in range(k) if mask >> j & 1]
         subset = tuple(entries[j] for j in range(k) if mask >> j & 1)
-        if cache is not None:
+        shared = cache is not None and not mask & 1
+        if shared:
             got = cache.get(subset)
             if got is not None:
                 table[mask] = got
@@ -469,7 +447,7 @@ def _pair_fold(entries, alg, signed: bool, stats: BracketStats,
                     prod = -prod
                 val = prod if val is None else val + prod
         table[mask] = val
-        if cache is not None:
+        if shared:
             cache.put(subset, val)
     return table[full]
 
@@ -494,9 +472,9 @@ def qnb(entries: Sequence[Any], alg: AlgebraHandle, naive: bool = False,
     memoized over argument subsets; it agrees exactly with the naive
     k!-term sum, which stays available as the cross-check oracle.
 
-    A ``SubsetCache`` shares sub-brackets across calls.  It keeps no entry
-    alive: a cached sub-bracket lives as long as every entry of its subset,
-    so the entries must support weak references.
+    A ``SubsetCache`` shares the sub-brackets of the entries after the
+    first across calls, and holds them for its own lifetime; any entry type
+    is accepted.
     """
     return _product(entries, alg, True, naive, cache, "bracket")
 

@@ -133,7 +133,7 @@ def random_phase(n: int, rng: random.Random, pdeg: int = 2, xdeg: int = 2,
     return total
 
 
-# -- shared claims (parameterized so tests can tamper inputs) -------------
+# -- shared claims ---------------------------------------------------------
 
 
 def _pair_claims(name: str, bracket, basis: Dict[str, object], want,
@@ -166,18 +166,10 @@ def _so3_claims(basis: Dict[str, PhaseExpr], prefix: str = "") -> Claims:
         [tuple(basis)], basis.__getitem__, PhaseExpr.zero(basis["Lx"].n)), prefix)
 
 
-def check_so3_closure(lx: PhaseExpr, ly: PhaseExpr, lz: PhaseExpr) -> CheckOutcome:
-    return _verdict(_so3_claims({"Lx": lx, "Ly": ly, "Lz": lz}))
-
-
 def _correction_claims(model: Model, expected: PhaseExpr,
                        prefix: str = "") -> Claims:
     yield (f"{prefix}Hqm - H matches the stated correction",
            model.h_quantum - model.h_classical, expected)
-
-
-def check_quantum_correction(model: Model, expected: PhaseExpr) -> CheckOutcome:
-    return _verdict(_correction_claims(model, expected))
 
 
 def _metric_claims(geometry, n: int, prefix: str = "") -> Claims:
@@ -203,10 +195,6 @@ def _metric_claims(geometry, n: int, prefix: str = "") -> Claims:
                        * geometry.vielbein_lower[b][j]
                        for a in range(n) for b in range(n)), zero)
             yield f"{prefix}orthonormality {i + 1}{j + 1}", got, one if i == j else zero
-
-
-def check_metric_identities(geometry, n: int) -> CheckOutcome:
-    return _verdict(_metric_claims(geometry, n))
 
 
 def _sphere_correction(n: int) -> PhaseExpr:

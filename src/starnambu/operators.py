@@ -219,7 +219,7 @@ class ExactMatrix:
     and the constructors speak ``Poly``.
     """
 
-    __slots__ = ("dim", "_den", "_re", "_im", "_index", "__weakref__")
+    __slots__ = ("dim", "_den", "_re", "_im", "_index")
     __hash__ = None
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):

@@ -40,7 +40,7 @@ class PhaseExpr:
     evaluations star the same operands many times.
     """
 
-    __slots__ = ("n", "terms", "_dcache", "__weakref__")
+    __slots__ = ("n", "terms", "_dcache")
     __hash__ = None
 
     def __init__(self, n: int, terms: Dict[int, RadicalCoeff]):

@@ -5,11 +5,11 @@ hbar-polynomial arithmetic; runtime budgets are asserted where stated.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from starnambu import PhaseExpr, jordan, moyal, nambu_jacobian, phase_algebra, qnb, star
-from starnambu.catalog import (check_quantum_correction,
-                               check_so3_closure, random_phase)
+from starnambu.catalog import random_phase, run_suite
 from starnambu.lang import Binding, evaluate, print_canonical
 from starnambu.models import fab, get_model, half_charges, h_other
 from starnambu.operators import (ExactMatrix, SectorStack, matrix_algebra,
@@ -163,7 +163,7 @@ def test_criterion_7_sigma_spectrum(full_report):
     _report_line(ok, "7 (sigma_12 spectrum on all (2j+1)^2 tensor units, 2j<=2)")
 
 
-def test_criterion_8_property_suites(full_report):
+def test_criterion_8_property_suites(full_report, monkeypatch):
     """Associativity, commutator-pair resolution vs naive oracle, bracket
     laws, round-trip, and non-vacuous negative controls."""
     rows = _rows(full_report)
@@ -191,15 +191,29 @@ def test_criterion_8_property_suites(full_report):
         n = 1 if trial % 4 == 0 else 2
         e = random_phase(n, rng)
         ok = ok and evaluate(print_canonical(e), binding[n]).equals(e)
-    # negative controls: three perturbed fixtures must fail
-    m = get_model("sphere:2")
+    # negative controls: three perturbed fixtures must fail their entries
+    import starnambu.catalog as cat
+
+    def tampered(charge, change):
+        """get_model with one charge of every model changed."""
+        def model(name):
+            m = get_model(name)
+            return replace(m, charges={**m.charges,
+                                       charge: change(m.charge(charge))})
+        return model
+
     controls = [
-        check_so3_closure(-m.charge("Lx"), m.charge("Ly"), m.charge("Lz")),
-        check_quantum_correction(m, PhaseExpr.hbar(2, 2)),
-        check_so3_closure(m.charge("Lx"), m.charge("Ly"),
-                          m.charge("Lz") + PhaseExpr.coord(2, 0)),
+        ("S2-01", "get_model", tampered("Lx", lambda c: -c)),
+        ("S2-03", "_sphere_correction", lambda n: PhaseExpr.hbar(n, 2)),
+        ("S2-01", "get_model",
+         tampered("Lz", lambda c: c + PhaseExpr.coord(2, 0))),
     ]
-    ok = ok and all(c.status == "fail" and c.witness for c in controls)
+    for entry_id, name, fake in controls:
+        with monkeypatch.context() as patch:
+            patch.setattr(cat, name, fake)
+            row = run_suite(id_glob=entry_id).results[0]
+        witness = row.detail.partition(" | witness: ")[2]
+        ok = ok and row.status == "fail" and witness not in ("", "0")
     _report_line(ok, "8 (property suites pass; perturbed fixtures fail)")
 
 

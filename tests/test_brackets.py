@@ -1,6 +1,5 @@
 import gc
 import random
-import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -640,41 +639,27 @@ def cached(cache):
     return len(cache._data)
 
 
+class WeakMatrix(ExactMatrix):
+    """An ExactMatrix that a test can watch die through a weak reference."""
+
+    __slots__ = ("__weakref__",)
+
+
+def chiral_tails(rng):
+    """QN-12's and QN-13's two tails over left and right triples u and v:
+    u0, u1, u2, v0, v1 and v0, v1, v2, u0, u1."""
+    u = [int_matrix(rng) for _ in range(3)]
+    v = [int_matrix(rng) for _ in range(3)]
+    return [u + v[:2], v + u[:2]]
+
+
 class TestSubsetCacheLifetime:
-    """A cached sub-bracket lives as long as every entry of its subset: the
-    cache holds its entries weakly and evicts on their death."""
+    """The cache shares the sub-brackets of the entries after the first and
+    holds them, with their subsets, for its own lifetime."""
 
-    def test_dropping_a_probe_evicts_its_values(self):
-        rng = random.Random(40)
-        alg = matrix_algebra(3)
-        tail = [int_matrix(rng) for _ in range(3)]
-        cache = SubsetCache()
-        probe = int_matrix(rng)
-        qnb([probe] + tail, alg, cache=cache)
-        pair = weakref.ref(cache.get((probe, tail[0])))
-        assert cache.get(tail[:2]) is not None
-        del probe
-        assert pair() is None
-        assert cached(cache) == 3  # the tail's three pairs
-        assert cache.get(tail[:2]) is not None
-
-    def test_value_that_is_an_entry_dies_with_its_subset(self, monkeypatch):
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        rng = random.Random(45)
-        alg = matrix_algebra(3)
-        a, b = int_matrix(rng), int_matrix(rng)
-        cache = SubsetCache()
-        qnb([a, b], alg, cache=cache)
-        v = cache.get((a, b))
-        qnb([v, a, b], alg, cache=cache)
-        del v, a  # evicting [a, b] frees v, whose own keys go next
-        assert unraisable == []
-        assert cached(cache) == 0
-
-    def test_probe_loop_keeps_one_probe_of_values(self):
-        # k = 6: the tail's 10 pairs and 5 four-subsets, and a probe's 5
-        # pairs, 10 four-subsets and the whole set
+    def test_probe_loop_caches_only_the_tail(self):
+        # k = 6: the tail's 10 pairs and 5 four-subsets; no subset that
+        # holds the probe, the whole set included
         rng = random.Random(41)
         alg = matrix_algebra(3)
         tail = [int_matrix(rng) for _ in range(5)]
@@ -682,13 +667,39 @@ class TestSubsetCacheLifetime:
         for _ in range(20):
             probe = int_matrix(rng)
             qnb([probe] + tail, alg, cache=cache)
-            assert cached(cache) == 15 + 16
+            assert cached(cache) == 15
+            assert all(id(probe) not in key for key in cache._data)
+
+    def test_live_probes_keep_only_the_tails(self):
+        # each tail's 15 even subsets, less the pairs (u0, u1) and (v0, v1)
+        # that both tails key alike, however many probes stay alive
+        rng = random.Random(44)
+        alg = matrix_algebra(3)
+        tails = chiral_tails(rng)
+        probes = [int_matrix(rng) for _ in range(9)]
+        cache = SubsetCache()
+        for probe in probes:
+            for tail in tails:
+                qnb([probe] + tail, alg, cache=cache)
+            assert cached(cache) == 28
+
+    def test_dropped_probe_is_freed(self):
+        rng = random.Random(40)
+        alg = matrix_algebra(3)
+        tail = [int_matrix(rng) for _ in range(3)]
+        cache = SubsetCache()
+        probe = WeakMatrix([[{0: (rng.randint(-3, 3), 0, 1)} for _ in range(3)]
+                            for _ in range(3)])
+        qnb([probe] + tail, alg, cache=cache)
+        ref = weakref.ref(probe)
         del probe
-        assert cached(cache) == 15
+        assert ref() is None
+        assert cached(cache) == 3  # the tail's three pairs
+        assert cache.get(tail[:2]) is not None
 
     def test_reused_id_misses(self):
-        # a cache that held its entries strongly would never free a cached
-        # entry's id; here CPython hands the freed slot out again
+        # the cache keeps no first entry alive, so CPython hands a freed
+        # probe's slot out again; a key's own entries stay alive with it
         rng = random.Random(42)
         alg = matrix_algebra(3)
         tail = [int_matrix(rng) for _ in range(3)]
@@ -708,29 +719,37 @@ class TestSubsetCacheLifetime:
         got = qnb([new] + tail, alg, cache=cache).value
         assert got == qnb([new] + tail, alg).value
 
-    def test_dropped_cache_leaves_no_garbage(self, monkeypatch):
+    def test_dropped_cache_leaves_no_garbage(self):
         rng = random.Random(43)
-        alg = matrix_algebra(3)
-        entries = [int_matrix(rng) for _ in range(4)]
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        n = 2
+        calls = [
+            (matrix_algebra(3), [int_matrix(rng) for _ in range(6)]),
+            (phase_algebra(n), [rand_expr(n, rng, pdeg=1, xdeg=1, terms=2)
+                                for _ in range(4)]),
+        ]
         gc.collect()
         gc.disable()
         try:
-            cache = SubsetCache()
-            qnb(entries, alg, cache=cache)
-            ref = weakref.ref(cache)
-            del cache
-            assert ref() is None
-            assert gc.collect() == 0
-            del entries
+            for alg, entries in calls:
+                cache = SubsetCache()
+                qnb(entries, alg, cache=cache)
+                assert cached(cache) > 0
+                del cache
+                assert gc.collect() == 0
+            del calls, entries
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert unraisable == []
 
-    def test_entries_without_weak_references_are_refused(self):
+    def test_shared_first_entry_over_two_tails(self):
+        # QN-12's shape: one first entry meets each tail, twice, so the
+        # second round takes every tail subset from the cache
+        rng = random.Random(46)
+        alg = matrix_algebra(3)
+        tails = chiral_tails(rng)
+        f = int_matrix(rng)
         cache = SubsetCache()
-        with pytest.raises(TypeError, match="int"):
-            cache.put((1, 2), 3)
-        assert cache.get((1, 2)) is None
+        for _ in range(2):
+            for tail in tails:
+                got = qnb([f] + tail, alg, cache=cache).value
+                assert got == qnb([f] + tail, alg).value

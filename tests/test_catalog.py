@@ -9,10 +9,8 @@ import pytest
 import starnambu
 from starnambu import DomainError, PhaseExpr, UsageError
 from starnambu.catalog import (SUITES, CheckOutcome, IdentityCheck,
-                               RunContext, _verdict, catalog,
-                               check_metric_identities, check_so3_closure,
-                               check_quantum_correction, run_entry, run_suite,
-                               select_entries)
+                               RunContext, _verdict, catalog, run_entry,
+                               run_suite, select_entries)
 from starnambu.cli import main
 from starnambu.models import get_model, sphere_geometry, vielbein_current
 from starnambu.operators import ExactMatrix, number_matrix
@@ -176,33 +174,58 @@ class TestVerdict:
 class TestNegativeControls:
     """Deliberately perturbed fixtures must fail with printable witnesses."""
 
-    def test_flipped_charge_breaks_closure(self):
-        m = get_model("sphere:2")
-        out = check_so3_closure(-m.charge("Lx"), m.charge("Ly"), m.charge("Lz"))
-        assert out.status == "fail"
-        assert out.witness not in ("", "0")
-
-    def test_wrong_correction_constant(self):
-        m = get_model("sphere:2")
-        one = PhaseExpr.one(2)
-        x, y = PhaseExpr.coord(2, 0), PhaseExpr.coord(2, 1)
-        r = one - x * x - y * y
-        from fractions import Fraction
-        wrong = (one / r - one.scale_fraction(2)) \
-            .times_hbar(2).scale_fraction(Fraction(1, 8))
-        out = check_quantum_correction(m, wrong)
-        assert out.status == "fail"
-        assert out.witness not in ("", "0")
-
-    def test_tampered_frame_breaks_metric(self):
+    def test_flipped_charge_breaks_closure(self, monkeypatch):
         from dataclasses import replace
-        g = sphere_geometry(2, "-")
-        rows = [list(row) for row in g.vielbein_lower]
-        rows[0][1] = rows[0][1] + PhaseExpr.coord(2, 0)
-        tampered = replace(g, vielbein_lower=tuple(tuple(r) for r in rows))
-        out = check_metric_identities(tampered, 2)
-        assert out.status == "fail"
-        assert out.witness not in ("", "0")
+        import starnambu.catalog as cat
+
+        def flipped(name):
+            m = get_model(name)
+            if name != "sphere:2:-":
+                return m
+            return replace(m, charges={**m.charges, "Lx": -m.charge("Lx")})
+
+        monkeypatch.setattr(cat, "get_model", flipped)
+        row = run_suite(id_glob="S2-01").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == "mismatch: hemisphere -: pb(Lx,Ly)"
+        assert witness not in ("", "0")
+
+    def test_wrong_correction_constant(self, monkeypatch):
+        # 1/(1 - x^2 - y^2) - 2 in place of - 3
+        from fractions import Fraction
+        import starnambu.catalog as cat
+        original = cat._sphere_correction
+
+        def wrong(n):
+            return original(n) + PhaseExpr.one(n).times_hbar(2) \
+                .scale_fraction(Fraction(1, 8))
+
+        monkeypatch.setattr(cat, "_sphere_correction", wrong)
+        row = run_suite(id_glob="S2-03").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == "mismatch: Hqm - H matches the stated correction"
+        assert witness not in ("", "0")
+
+    def test_tampered_frame_breaks_metric(self, monkeypatch):
+        from dataclasses import replace
+        import starnambu.catalog as cat
+
+        def tampered(n, sign):
+            g = sphere_geometry(n, sign)
+            if (n, sign) != (2, "-"):
+                return g
+            rows = [list(row) for row in g.vielbein_lower]
+            rows[0][1] = rows[0][1] + PhaseExpr.coord(2, 0)
+            return replace(g, vielbein_lower=tuple(tuple(r) for r in rows))
+
+        monkeypatch.setattr(cat, "sphere_geometry", tampered)
+        row = run_suite(id_glob="SN-03").results[0]
+        assert row.status == "fail"
+        got, witness = row.detail.split(" | witness: ")
+        assert got == "mismatch: N=2 sign -: g_11 from frame"
+        assert witness not in ("", "0")
 
     def test_flipped_charge_fails_registered_entry(self, monkeypatch):
         from dataclasses import replace
@@ -312,6 +335,32 @@ class TestNegativeControls:
         # 30 theorem checks at seed 0; the non-vacuity claim reads their
         # brackets, where it used to build six more (3204 products)
         assert self._products(monkeypatch, "OS-02") == 2745
+
+    def test_six_bracket_entries_cost_pinned(self, monkeypatch):
+        # (products, nodes) summed over the qnb calls of the entries at
+        # seed 0; a subset that holds the first entry is never cached, so
+        # the pairs of f with an entry that both orientations share are
+        # built twice: 4 such commutators in QN-12 and 36 in QN-13
+        import starnambu.catalog as cat
+        stats = []
+        original = cat.qnb
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            stats.append(result.stats)
+            return result
+
+        monkeypatch.setattr(cat, "qnb", counting)
+
+        def cost(*ids):
+            stats.clear()
+            for entry_id in ids:
+                assert run_suite(id_glob=entry_id, seed=0).results[0].status \
+                    == "pass"
+            return (sum(s.products for s in stats), sum(s.nodes for s in stats))
+
+        assert cost("QN-07", "QN-12") == (998, 219)
+        assert cost("QN-13") == (1518, 316)
 
     def test_os_entries_make_no_polynomial_products(self, monkeypatch):
         # matrix cells hold one scalar per hbar power, so the oscillator and
