@@ -333,23 +333,23 @@ class SubsetCache:
 
     ``qnb`` shares through it the sub-brackets of the entries after the
     first, so calls that vary only their first entry reuse their common
-    tail.  The cache holds every value it keys together with the entries
-    of its subset for its own lifetime, so an id cannot be reused while a
-    key holds it, and any entry type is accepted.
+    tail.  The cache holds every subset it keys together with its value for
+    its own lifetime, so an id cannot be reused while a key holds it, and
+    any entry type is accepted.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self):
-        self._data: Dict[tuple, tuple] = {}  # ids -> (value, *entries)
+        self._data: Dict[tuple, Tuple[tuple, Any]] = {}
 
     def get(self, subset: tuple):
         """The cached value of subset, or None."""
         got = self._data.get(tuple(map(id, subset)))
-        return None if got is None else got[0]
+        return None if got is None else got[1]
 
     def put(self, subset: tuple, value) -> None:
-        self._data[tuple(map(id, subset))] = (value, *subset)
+        self._data[tuple(map(id, subset))] = (subset, value)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
