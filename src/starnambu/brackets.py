@@ -293,7 +293,7 @@ def symplectic_trace(entries: Sequence[PhaseExpr]) -> PhaseExpr:
 
 @dataclass(frozen=True)
 class AlgebraHandle:
-    """An associative unital algebra the k-products can run over.
+    """An associative algebra the k-products can run over.
 
     ``commutator`` is a*b - b*a and ``anticommutator`` a*b + b*a.  ``sym``
     is a symmetric product: a*b, b*a or a mean of the two, so that
@@ -303,7 +303,6 @@ class AlgebraHandle:
     which sums half the star series, and the matrix algebra its own ``*``.
     """
 
-    unit: Any
     mul: Callable[[Any, Any], Any]
     commutator: Callable[[Any, Any], Any]
     anticommutator: Callable[[Any, Any], Any]
@@ -311,8 +310,8 @@ class AlgebraHandle:
 
 
 def phase_algebra(n: int) -> AlgebraHandle:
-    return AlgebraHandle(PhaseExpr.one(n), star, star_commutator,
-                         star_anticommutator, star_jordan)
+    return AlgebraHandle(star, star_commutator, star_anticommutator,
+                         star_jordan)
 
 
 @dataclass

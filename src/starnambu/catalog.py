@@ -1148,7 +1148,9 @@ def run_suite(suite: Optional[str] = None, id_glob: Optional[str] = None,
               seed: int = 0, jobs: int = 1, draws: int = 1) -> Report:
     """Run the matching entries one after another on the calling thread, so
     each row's ``elapsed_ms`` is that entry's own time; deterministic content
-    for a fixed seed.  ``jobs`` is accepted and has no effect."""
+    for a fixed seed.  ``jobs`` has no effect; it is kept only because the
+    benchmark's child process (``perfbench/child.py``) still passes it, and
+    goes with the benchmark's next re-base."""
     ctx = RunContext(seed=seed, draws=draws)
     rows = [run_entry(e, ctx) for e in select_entries(suite, id_glob)]
     return Report(suite or id_glob or "all", seed, rows)

@@ -39,9 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int, default=1,
                        help="multiplier for randomized draws (at least 1)")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: entries always run one "
-                            "after another on the calling thread")
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     ev = sub.add_parser("eval", help="evaluate a bracket expression")

@@ -9,23 +9,26 @@ square roots without adding content.
 
 A matrix is stored fraction-free: one positive integer denominator D, and
 D times the matrix as integer rows, one ``{column: int}`` dict per row i of
-the coefficient of hbar**k, keyed (k, i), for the real part, plus rows of
-the same shape for the imaginary part where it is nonzero.  The form is
-canonical (D and the numerators have no common factor, no entry is zero,
-no row is empty), so equal matrices have equal fields.  The Fock-sector and
-su(2) ladder matrices are banded or block-diagonal, so every operation walks
-the nonzeros instead of all d**2 cells (d**3 index triples for a product).
-Every matrix product goes through one kernel, ``_addmul``, whose inner
-loop is integer arithmetic; a commutator or anticommutator adds both
-orders into one accumulator, and ``tensor`` splits into real products the
-same way.  Gaussian-rational triples appear only at the boundary: the
-``Poly`` constructors, ``entry``, ``repr`` and ``scale``.
+the coefficient of i**c * hbar**k, keyed (g, i) by the grade g = 2*k + c
+with c in {0, 1}.  So i is a second graded generator beside hbar, under
+the one relation i*i = -1: grades g and h multiply into grade g + h, and,
+when both are odd, carry into g + h - 2 with the opposite sign.  The form
+is canonical (D and the numerators have no common factor, no entry is
+zero, no row is empty), so equal matrices have equal fields.  The
+Fock-sector and su(2) ladder matrices are banded or block-diagonal, so
+every operation walks the nonzeros instead of all d**2 cells (d**3 index
+triples for a product).  Every matrix product goes through one kernel,
+``_addmul``, whose inner loop is integer arithmetic; a commutator or
+anticommutator adds both orders into one accumulator, and ``tensor`` is
+the product of two lifted factors.  Gaussian-rational triples appear only
+at the boundary: the ``Poly`` constructors, ``entry``, ``repr`` and
+``scale``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -36,46 +39,41 @@ from .gauss import qnorm, qpow_i
 from .phase import poly_str
 from .poly import MASK, Poly, overflow
 
-
-def _addmul(re: dict, im: dict, c: int, x: "ExactMatrix",
-            y: "ExactMatrix") -> None:
-    """re + i*im += c * (numerators of x) * (numerators of y), so the sum is
-    over the denominator x._den * y._den; DomainError when an hbar power
-    passes MASK.  Each pair of nonzeros x[p, i][m], y[q, m][j] adds one
-    integer product into row (p + q, i); the imaginary sub-products are
-    skipped when x or y has no imaginary part."""
-    for out, c, xrows, by_row in _subproducts(re, im, c, x._re, x._im,
-                                              *y._by_row()):
-        if not (xrows and by_row):
-            continue
-        for (p, i), row in xrows.items():
-            for m, a in row.items():
-                ys = by_row.get(m)
-                if ys is None:
-                    continue
-                a *= c
-                for q, yrow in ys:
-                    key = (p + q, i)
-                    acc = out.get(key)
-                    if acc is None:
-                        if p + q > MASK:
-                            raise overflow("product")
-                        out[key] = acc = {}
-                        for j, b in yrow.items():
-                            acc[j] = a * b
-                    else:
-                        get = acc.get
-                        for j, b in yrow.items():
-                            acc[j] = get(j, 0) + a * b
+_TOP = 2 * MASK + 1  # the grade of i * hbar**MASK, the largest
 
 
-def _subproducts(re: dict, im: dict, c: int, xre, xim, yre, yim) -> tuple:
-    """The real products that make up c * (xre + i*xim) * (yre + i*yim), as
-    (accumulator, sign, x part, y part); without an imaginary part, one."""
-    if not (xim or yim):
-        return ((re, c, xre, yre),)
-    return ((re, c, xre, yre), (im, c, xre, yim), (im, c, xim, yre),
-            (re, -c, xim, yim))
+def _addmul(out: dict, c: int, x: "ExactMatrix", y: "ExactMatrix") -> None:
+    """out += c * (numerators of x) * (numerators of y), so the sum is over
+    the denominator x._den * y._den; DomainError when an hbar power passes
+    MASK.  Each pair of nonzeros x[g, i][m], y[h, m][j] adds one integer
+    product into row (g + h, i), or, when g and h are both odd, its
+    negative into row (g + h - 2, i), since i*i = -1."""
+    by_row = y._by_row()
+    if not by_row:
+        return
+    for (g, i), row in x._rows.items():
+        odd = g & 1
+        for m, a in row.items():
+            ys = by_row.get(m)
+            if ys is None:
+                continue
+            a *= c
+            for h, yrow in ys:
+                if odd & h:
+                    key, s = (g + h - 2, i), -a
+                else:
+                    key, s = (g + h, i), a
+                acc = out.get(key)
+                if acc is None:
+                    if key[0] > _TOP:
+                        raise overflow("product")
+                    out[key] = acc = {}
+                    for j, b in yrow.items():
+                        acc[j] = s * b
+                else:
+                    get = acc.get
+                    for j, b in yrow.items():
+                        acc[j] = get(j, 0) + s * b
 
 
 # Rows are built by explicit loops: on CPython 3.11 a dict comprehension
@@ -96,15 +94,6 @@ def _scaled(rows: dict, c: int) -> dict:
     out = {}
     for key, row in rows.items():
         out[key] = _times(row, c)
-    return out
-
-
-def _divided(rows: dict, g: int) -> dict:
-    out = {}
-    for key, row in rows.items():
-        out[key] = new = {}
-        for j, v in row.items():
-            new[j] = v // g
     return out
 
 
@@ -129,53 +118,39 @@ def _addrows(out: dict, c: int, rows: dict) -> None:
             del out[key]
 
 
-def _drop_zeros(rows: dict) -> dict:
-    """rows, an accumulator, with its zero entries and empty rows deleted."""
-    empty = []
+def _canonical(dim: int, den: int, rows: dict) -> "ExactMatrix":
+    """The matrix rows/den, for den > 0, in canonical form: zero entries and
+    empty rows deleted, then the numerators and den divided by their
+    common factor.  Only a row that holds a zero is written to, so rows
+    may be shared with canonical matrices, which hold none."""
+    g, empty = den, []
     for key, row in rows.items():
         if 0 in row.values():
             for j in [j for j, v in row.items() if not v]:
                 del row[j]
             if not row:
                 empty.append(key)
+                continue
+        if g > 1:
+            g = gcd(g, *row.values())
     for key in empty:
         del rows[key]
-    return rows
+    if g > 1:
+        # g == den when no entry is left
+        den //= g
+        out = {}
+        for key, row in rows.items():
+            out[key] = new = {}
+            for j, v in row.items():
+                new[j] = v // g
+        rows = out
+    return _matrix(dim, den, rows)
 
 
-def _grouped(rows: dict) -> dict:
-    out: dict = {}
-    for (k, i), row in rows.items():
-        out.setdefault(i, []).append((k, row))
-    return out
-
-
-def _canonical(dim: int, den: int, re: dict, im: dict) -> "ExactMatrix":
-    """The matrix (re + i*im)/den of accumulated rows, for den > 0, in
-    canonical form."""
-    return _reduced(dim, den, _drop_zeros(re), _drop_zeros(im) if im else im)
-
-
-def _reduced(dim: int, den: int, re: dict, im: dict) -> "ExactMatrix":
-    """The matrix (re + i*im)/den of rows with no zero entry or empty row,
-    its numerators and den divided by their common factor."""
-    if den > 1:
-        g = den
-        for row in chain(re.values(), im.values()):
-            g = gcd(g, *row.values())
-            if g == 1:
-                break
-        if g > 1:
-            # g == den when no entry is left
-            den //= g
-            re, im = _divided(re, g), _divided(im, g)
-    return _matrix(dim, den, re, im)
-
-
-def _matrix(dim: int, den: int, re: dict, im: dict) -> "ExactMatrix":
+def _matrix(dim: int, den: int, rows: dict) -> "ExactMatrix":
     """Wrap canonical rows without copying."""
     m = object.__new__(ExactMatrix)
-    m.dim, m._den, m._re, m._im, m._index = dim, den, re, im, None
+    m.dim, m._den, m._rows, m._index = dim, den, rows, None
     return m
 
 
@@ -194,32 +169,32 @@ def _from_cells(dim: int, cells) -> "ExactMatrix":
                 terms.append((k, i, j, a, b, d))
                 if d != den:
                     den = den * d // gcd(den, d)
-    re: dict = {}
-    im: dict = {}
+    rows: dict = {}
     for k, i, j, a, b, d in terms:
         if a:
-            re.setdefault((k, i), {})[j] = a * (den // d)
+            rows.setdefault((2 * k, i), {})[j] = a * (den // d)
         if b:
-            im.setdefault((k, i), {})[j] = b * (den // d)
+            rows.setdefault((2 * k + 1, i), {})[j] = b * (den // d)
     # den is the lcm of reduced denominators, so the form is canonical
-    return _matrix(dim, den, re, im)
+    return _matrix(dim, den, rows)
 
 
 class ExactMatrix:
     """Square matrix over the ring of hbar-polynomials with Gaussian
     rational coefficients.
 
-    The value is (``_re`` + i ``_im``) / ``_den``: ``_re`` and ``_im`` map
-    (k, i) to row i of the coefficient of hbar**k, a ``{column: int}`` dict
-    of its nonzero numerators; no row is empty, and the numerators and
-    ``_den`` have no common factor.  A product costs one integer product
-    per pair of nonzeros a[p, i][m], b[q, m][j], added into row (p + q, i).
-    Rows are shared between matrices and never mutated; ``_index`` is
-    a view of them grouped by row, kept once built.  ``entry``, ``repr``
-    and the constructors speak ``Poly``.
+    ``_rows`` maps (g, i), for the grade g = 2*k + c with c in {0, 1}, to
+    row i of the coefficient of i**c hbar**k: a ``{column: int}`` dict of
+    its nonzero numerators over the denominator ``_den``.  No row is empty,
+    and the numerators and ``_den`` have no common factor.  A product costs one
+    integer product per pair of nonzeros a[g, i][m], b[h, m][j], added
+    into row (g + h, i), or subtracted from row (g + h - 2, i) when g and h
+    are both odd.  Rows are shared between matrices and never mutated;
+    ``_index`` is a view of them grouped by row, kept once built.
+    ``entry``, ``repr`` and the constructors speak ``Poly``.
     """
 
-    __slots__ = ("dim", "_den", "_re", "_im", "_index")
+    __slots__ = ("dim", "_den", "_rows", "_index")
     __hash__ = None
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
@@ -230,33 +205,33 @@ class ExactMatrix:
                 raise DimensionError("matrix must be square")
         m = _from_cells(dim, ((i, j, e) for i, row in enumerate(rows)
                               for j, e in enumerate(row)))
-        self.dim, self._den, self._re, self._im = dim, m._den, m._re, m._im
+        self.dim, self._den, self._rows = dim, m._den, m._rows
         self._index = None
 
-    def _by_row(self) -> tuple:
-        """The real and imaginary rows as {i: [(k, row), ...]}, built the
-        first time the matrix is a right factor or a cell is read."""
+    def _by_row(self) -> dict:
+        """The rows as {i: [(g, row), ...]}, built the first time the matrix
+        is a right factor or a cell is read."""
         index = self._index
         if index is None:
-            im = self._im
-            index = self._index = (_grouped(self._re),
-                                   _grouped(im) if im else im)
+            index = self._index = {}
+            for (g, i), row in self._rows.items():
+                index.setdefault(i, []).append((g, row))
         return index
 
     @classmethod
     def zeros(cls, dim: int) -> "ExactMatrix":
-        return _matrix(dim, 1, {}, {})
+        return _matrix(dim, 1, {})
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        return _matrix(dim, 1, {(0, i): {i: 1} for i in range(dim)}, {})
+        return _matrix(dim, 1, {(0, i): {i: 1} for i in range(dim)})
 
     @classmethod
     def unit(cls, dim: int, i: int, j: int, entry: Optional[Poly] = None) -> "ExactMatrix":
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError("matrix index out of range")
         if entry is None:
-            return _matrix(dim, 1, {(0, i): {j: 1}}, {})
+            return _matrix(dim, 1, {(0, i): {j: 1}})
         return _from_cells(dim, [(i, j, entry)])
 
     @classmethod
@@ -264,9 +239,9 @@ class ExactMatrix:
         dim = len(rows)
         if any(len(row) != dim for row in rows):
             raise DimensionError("matrix must be square")
-        return _matrix(dim, 1, {(0, i): r for i, row in enumerate(rows)
-                                if (r := {j: v for j, v in enumerate(row) if v})},
-                       {})
+        return _matrix(dim, 1, {
+            (0, i): r for i, row in enumerate(rows)
+            if (r := {j: v for j, v in enumerate(row) if v})})
 
     @classmethod
     def diagonal(cls, entries: Sequence[Poly]) -> "ExactMatrix":
@@ -285,13 +260,9 @@ class ExactMatrix:
         else:
             den = da // gcd(da, db) * db
             ca, cb = den // da, sign * (den // db)
-        re = _scaled(self._re, ca)
-        _addrows(re, cb, other._re)
-        im = self._im
-        if im or other._im:
-            im = _scaled(im, ca)
-            _addrows(im, cb, other._im)
-        return _reduced(self.dim, den, re, im)
+        rows = _scaled(self._rows, ca)
+        _addrows(rows, cb, other._rows)
+        return _canonical(self.dim, den, rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._plus(other, 1)
@@ -300,30 +271,26 @@ class ExactMatrix:
         return self._plus(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        im = self._im
-        return _matrix(self.dim, self._den, _scaled(self._re, -1),
-                       _scaled(im, -1) if im else im)
+        return _matrix(self.dim, self._den, _scaled(self._rows, -1))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        re, im = {}, {}
-        _addmul(re, im, 1, self, other)
-        return _canonical(self.dim, self._den * other._den, re, im)
+        out: dict = {}
+        _addmul(out, 1, self, other)
+        return _canonical(self.dim, self._den * other._den, out)
 
     def scale(self, c) -> "ExactMatrix":
-        """Multiply by the Gaussian rational triple c."""
+        """Multiply by the Gaussian rational triple c = (a + b*i)/d."""
         a, b, d = qnorm(*c)
         if not (a or b):
             return ExactMatrix.zeros(self.dim)
-        if b == 0:
-            re, im = _scaled(self._re, a), _scaled(self._im, a)
-        else:
-            # (re + i im)(a + i b) = (a re - b im) + i (a im + b re)
-            re, im = _scaled(self._im, -b), _scaled(self._re, b)
-            if a:
-                _addrows(re, a, self._re)
-                _addrows(im, a, self._im)
-        return _reduced(self.dim, self._den * d, re, im)
+        rows = _scaled(self._rows, a) if a else {}
+        if b:
+            # i moves an even grade g up to g + 1, and an odd one down to
+            # g - 1, negated since i*i = -1: either way to g ^ 1
+            _addrows(rows, b, {(g ^ 1, i): _times(row, -1) if g & 1 else row
+                               for (g, i), row in self._rows.items()})
+        return _canonical(self.dim, self._den * d, rows)
 
     def scale_fraction(self, value) -> "ExactMatrix":
         f = Fraction(value)
@@ -333,46 +300,42 @@ class ExactMatrix:
         """Multiply by hbar**k; DomainError for k < 0 or a power past MASK."""
         if k < 0:
             raise DomainError("negative powers of hbar")
-        if any(p + k > MASK for rows in (self._re, self._im) for p, _ in rows):
+        k *= 2
+        if any(g + k > _TOP for g, _ in self._rows):
             raise overflow("hbar shift")
-        return _matrix(self.dim, self._den, *(
-            {(p + k, i): row for (p, i), row in rows.items()}
-            for rows in (self._re, self._im)))
+        return _matrix(self.dim, self._den,
+                       {(g + k, i): row for (g, i), row in self._rows.items()})
 
     def times_ihbar(self, k: int = 1) -> "ExactMatrix":
         """Multiply by (i*hbar)**k, checked as ``times_hbar``."""
         return self.times_hbar(k).scale(qpow_i(k))
 
     def is_zero(self) -> bool:
-        return not (self._re or self._im)
+        return not self._rows
 
     def __eq__(self, other):
         if isinstance(other, ExactMatrix):
             return (self.dim == other.dim and self._den == other._den
-                    and self._re == other._re and self._im == other._im)
+                    and self._rows == other._rows)
         return NotImplemented
 
     def entry(self, i: int, j: int) -> Poly:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError("matrix index out of range")
         den = self._den
-        re, im = self._by_row()
         out = {}
-        for k, row in re.get(i, ()):
+        for g, row in self._by_row().get(i, ()):
             if j in row:
-                out[k] = (row[j], 0, den)
-        if im:
-            for k, row in im.get(i, ()):
-                if j in row:
-                    out[k] = (out.get(k, (0,))[0], row[j], den)
+                a, b, _ = out.get(g >> 1, (0, 0, den))
+                out[g >> 1] = (a, row[j], den) if g & 1 else (row[j], b, den)
         if den > 1:
             for k, c in out.items():
                 out[k] = qnorm(*c)
         return out
 
     def __repr__(self):
-        cells = sorted({(i, j) for rows in (self._re, self._im)
-                        for (_, i), row in rows.items() for j in row})
+        cells = sorted({(i, j) for (_, i), row in self._rows.items()
+                        for j in row})
         body = ", ".join(f"[{i},{j}]={poly_str(self.entry(i, j), 0)[0]}"
                          for i, j in cells)
         return f"ExactMatrix({self.dim}, {body or 0})"
@@ -381,10 +344,10 @@ class ExactMatrix:
 def _fused(a: ExactMatrix, b: ExactMatrix, sign: int) -> ExactMatrix:
     """a*b + sign * b*a, both orders added into one accumulator."""
     a._check(b)
-    re, im = {}, {}
-    _addmul(re, im, 1, a, b)
-    _addmul(re, im, sign, b, a)
-    return _canonical(a.dim, a._den * b._den, re, im)
+    out: dict = {}
+    _addmul(out, 1, a, b)
+    _addmul(out, sign, b, a)
+    return _canonical(a.dim, a._den * b._den, out)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -398,45 +361,36 @@ def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def matrix_algebra(dim: int) -> AlgebraHandle:
     """The matrix ring; its symmetric product is ``*`` itself, so a fold
     makes the same matrix products whichever order it groups them in."""
-    return AlgebraHandle(ExactMatrix.identity(dim), mul, commutator,
-                         anticommutator, mul)
+    return AlgebraHandle(mul, commutator, anticommutator, mul)
 
 
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; (a x 1) commutes with (1 x b)."""
-    db = b.dim
-    re, im = {}, {}
-    for out, c, arows, brows in _subproducts(re, im, 1, a._re, a._im,
-                                             b._re, b._im):
-        for (p, i), arow in arows.items():
-            for (q, r), brow in brows.items():
-                key = (p + q, i * db + r)
-                acc = out.get(key)
-                if acc is None:
-                    if p + q > MASK:
-                        raise overflow("product")
-                    acc = out[key] = {}
-                get = acc.get
-                for j, x in arow.items():
-                    x *= c
-                    j *= db
-                    for m, y in brow.items():
-                        acc[j + m] = get(j + m, 0) + x * y
-    return _canonical(a.dim * db, a._den * b._den, re, im)
+    """Kronecker product, as the product of the lifts a x 1 and 1 x b."""
+    da, db = a.dim, b.dim
+    left, right = {}, {}
+    for (g, i), row in a._rows.items():
+        for r in range(db):
+            left[g, i * db + r] = {j * db + r: v for j, v in row.items()}
+    for i in range(0, da * db, db):
+        for (h, r), row in b._rows.items():
+            right[h, i + r] = {i + j: v for j, v in row.items()}
+    dim = da * db
+    out: dict = {}
+    _addmul(out, 1, _matrix(dim, 1, left), _matrix(dim, 1, right))
+    return _canonical(dim, a._den * b._den, out)
 
 
 def direct_sum(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     den = 1
     for m in mats:
         den = den // gcd(den, m._den) * m._den
-    re, im, off = {}, {}, 0
+    rows, off = {}, 0
     for m in mats:
         c = den // m._den
-        for out, rows in ((re, m._re), (im, m._im)):
-            for (k, i), row in rows.items():
-                out[k, off + i] = {off + j: c * v for j, v in row.items()}
+        for (g, i), row in m._rows.items():
+            rows[g, off + i] = {off + j: c * v for j, v in row.items()}
         off += m.dim
-    return _reduced(off, den, re, im)
+    return _canonical(off, den, rows)
 
 
 # -- oscillator sectors -------------------------------------------------
@@ -490,8 +444,8 @@ def number_matrix(stack: SectorStack, i: int, j: int) -> ExactMatrix:
         target[j - 1] -= 1
         target[i - 1] += 1
         # the state m is target - e_i + e_j, so each row gets one entry
-        rows[1, stack.index[tuple(target)]] = {col: mj}
-    return _matrix(stack.dim, 1, rows, {})
+        rows[2, stack.index[tuple(target)]] = {col: mj}
+    return _matrix(stack.dim, 1, rows)
 
 
 def total_number_matrix(stack: SectorStack) -> ExactMatrix:
@@ -556,9 +510,9 @@ def su2_verma(two_j: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
         raise DomainError("need a non-negative twice-spin")
     d = two_j + 1
     lz = ExactMatrix.diagonal([{1: (two_j - 2 * k, 0, 2)} for k in range(d)])
-    lm = {(1, k): {k - 1: 1} for k in range(1, d)}
-    lp = {(1, k): {k + 1: (k + 1) * (two_j - k)} for k in range(d - 1)}
-    return _matrix(d, 1, lp, {}), _matrix(d, 1, lm, {}), lz
+    lm = {(2, k): {k - 1: 1} for k in range(1, d)}
+    lp = {(2, k): {k + 1: (k + 1) * (two_j - k)} for k in range(d - 1)}
+    return _matrix(d, 1, lp), _matrix(d, 1, lm), lz
 
 
 def su2_cartesian(two_j: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:

@@ -502,15 +502,15 @@ class TestBracketProducts:
         alg = phase_algebra(2)
         vals = [rand_expr(2, rng, pdeg=1, terms=2) for _ in range(3)]
         a, b, c = vals
-        assert alg.mul(alg.unit, a).equals(a)
-        assert alg.mul(a, alg.unit).equals(a)
+        assert alg.mul(PhaseExpr.one(2), a).equals(a)
+        assert alg.mul(a, PhaseExpr.one(2)).equals(a)
         assert alg.mul(alg.mul(a, b), c).equals(alg.mul(a, alg.mul(b, c)))
         malg = matrix_algebra(3)
         mats = [ExactMatrix.from_int_rows(
             [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
             for _ in range(3)]
         a, b, c = mats
-        assert malg.mul(malg.unit, a) == a
+        assert malg.mul(ExactMatrix.identity(3), a) == a
         assert malg.mul(malg.mul(a, b), c) == malg.mul(a, malg.mul(b, c))
 
     def test_subset_recursion_matches_naive_all_k(self):

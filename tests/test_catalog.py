@@ -415,18 +415,14 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["summary"]["pass"] == 1
 
-    def test_check_jobs_accepted_and_ignored(self, entry_threads, capsys):
-        reports = []
-        for jobs in ("2", "1"):
-            assert main(["check", "--id", "S2-0[12]", "--jobs", jobs,
-                         "--format", "json"]) == 0
-            data = json.loads(capsys.readouterr().out)
-            for row in data["results"]:
-                row.pop("elapsed_ms")
-            reports.append(data)
-        assert reports[0] == reports[1]
-        assert [r["id"] for r in reports[0]["results"]] == ["S2-01", "S2-02"]
-        assert entry_threads == [threading.get_ident()] * 4
+    def test_check_jobs_is_refused(self, entry_threads, capsys):
+        # --jobs was a no-op and is gone: argparse refuses it before any
+        # entry runs
+        assert main(["check", "--id", "S2-0[12]", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
+        assert entry_threads == []
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_check_draws_below_one_exit_two(self, n, capsys):

@@ -95,6 +95,20 @@ class TestMatrixRing:
         assert (top * zero).is_zero() and (zero * top).is_zero()
         assert tensor(top, zero).is_zero()
 
+    def test_i_squared_carry_at_the_top_hbar_power(self):
+        # i*hbar**65535 times i is -hbar**65535: the carry of i*i brings
+        # the product back under the top power, while i*hbar**65535
+        # squared passes it
+        eye = ExactMatrix.identity(2)
+        top = eye.times_hbar(65535).scale((0, 1, 1))
+        assert top * eye.scale((0, 1, 1)) == -eye.times_hbar(65535)
+        with pytest.raises(DomainError):
+            top * top
+        with pytest.raises(DomainError):
+            top.times_hbar(1)
+        assert tensor(top, eye) == \
+            ExactMatrix.identity(4).times_hbar(65535).scale((0, 1, 1))
+
     def test_mixed_power_repr_pinned(self):
         m = ExactMatrix([[{0: (1, 0, 2), 2: (0, 1, 1)}, {}],
                          [{1: (-3, 0, 1)}, {0: (2, 1, 3)}]])
